@@ -7,11 +7,14 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eo_engine::{explore_statespace, explore_statespace_baseline, FeasibilityMode, SearchCtx};
+use eo_engine::{
+    explore_statespace_baseline, explore_statespace_budgeted, Budget, FeasibilityMode, SearchCtx,
+};
 use eo_lang::generator::{generate_trace, WorkloadSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
+    let caps = Budget::unlimited().with_max_states(1 << 24);
     let mut g = c.benchmark_group("ablation_interning");
     for (processes, events_per_process) in [(3usize, 4usize), (4, 4), (5, 3)] {
         let mut spec = WorkloadSpec::small_semaphore(3);
@@ -31,7 +34,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("interned", &label), &exec, |b, exec| {
             b.iter(|| {
                 let ctx = SearchCtx::new(black_box(exec), FeasibilityMode::PreserveDependences);
-                explore_statespace(&ctx, 1 << 24).unwrap().states
+                explore_statespace_budgeted(&ctx, &caps).unwrap().states
             })
         });
     }

@@ -1,12 +1,14 @@
-//! Ablation (DESIGN.md §5): sequential vs crossbeam-parallel cut-lattice
+//! Ablation (DESIGN.md §5): sequential vs pool-parallel cut-lattice
 //! exploration (bit-identical results; the bench measures the speed-up on
 //! a workload large enough to have real frontiers).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eo_engine::parallel::explore_statespace_parallel;
-use eo_engine::{explore_statespace, FeasibilityMode, SearchCtx};
+use eo_engine::{
+    explore_statespace_budgeted, explore_statespace_parallel_budgeted, Budget, FeasibilityMode,
+    SearchCtx,
+};
 use eo_lang::generator::{generate_trace, WorkloadSpec};
 use std::hint::black_box;
 
@@ -17,11 +19,12 @@ fn bench(c: &mut Criterion) {
     let trace = generate_trace(&spec, 100);
     let exec = trace.to_execution().unwrap();
 
+    let caps = Budget::unlimited().with_max_states(1 << 24);
     let mut g = c.benchmark_group("ablation_parallel");
     g.bench_function("sequential", |b| {
         b.iter(|| {
             let ctx = SearchCtx::new(black_box(&exec), FeasibilityMode::PreserveDependences);
-            explore_statespace(&ctx, 1 << 24).unwrap().states
+            explore_statespace_budgeted(&ctx, &caps).unwrap().states
         })
     });
     for threads in [2usize, 4] {
@@ -32,7 +35,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let ctx =
                         SearchCtx::new(black_box(&exec), FeasibilityMode::PreserveDependences);
-                    explore_statespace_parallel(&ctx, 1 << 24, threads)
+                    explore_statespace_parallel_budgeted(&ctx, &caps, threads)
                         .unwrap()
                         .states
                 })

@@ -6,11 +6,12 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use eo_engine::{explore_statespace, FeasibilityMode, SearchCtx};
+use eo_engine::{explore_statespace_budgeted, Budget, FeasibilityMode, SearchCtx};
 use eo_lang::generator::{generate_trace, WorkloadSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
+    let caps = Budget::unlimited().with_max_states(1 << 24);
     let mut g = c.benchmark_group("e6_scaling");
     for procs in [2usize, 3, 4] {
         let mut spec = WorkloadSpec::small_semaphore(7);
@@ -26,7 +27,7 @@ fn bench(c: &mut Criterion) {
             |b, exec| {
                 b.iter(|| {
                     let ctx = SearchCtx::new(black_box(exec), FeasibilityMode::PreserveDependences);
-                    explore_statespace(&ctx, 1 << 24).unwrap().states
+                    explore_statespace_budgeted(&ctx, &caps).unwrap().states
                 })
             },
         );

@@ -40,7 +40,8 @@ fn bench(c: &mut Criterion) {
                 black_box(&red.exec),
                 eo_engine::FeasibilityMode::PreserveDependences,
             );
-            eo_engine::explore_statespace(&ctx, 1 << 24)
+            let caps = eo_engine::Budget::unlimited().with_max_states(1 << 24);
+            eo_engine::explore_statespace_budgeted(&ctx, &caps)
                 .unwrap()
                 .chb
                 .contains(red.b.index(), red.a.index())
@@ -52,7 +53,10 @@ fn bench(c: &mut Criterion) {
                 black_box(&red.exec),
                 eo_engine::FeasibilityMode::PreserveDependences,
             );
-            eo_engine::sat_backend::chb_via_sat(&ctx, red.b, red.a).is_some()
+            let unlimited = eo_engine::Budget::unlimited();
+            eo_engine::chb_via_sat_budgeted(&ctx, red.b, red.a, &unlimited)
+                .unwrap()
+                .is_some()
         })
     });
     g.finish();

@@ -83,8 +83,8 @@ fn first_divergence(trace: &Trace, mode: FeasibilityMode) -> Option<Divergence> 
                 continue;
             }
             let (ea, eb) = (EventId::new(a), EventId::new(b));
-            let mhb = exact.must_happen_before(ea, eb);
-            let chb = exact.could_happen_before(ea, eb);
+            let mhb = exact.try_must_happen_before(ea, eb).expect("unbudgeted");
+            let chb = exact.try_could_happen_before(ea, eb).expect("unbudgeted");
             let sat_mhb = sat.try_must_happen_before(ea, eb).expect("unbudgeted");
             let sat_chb = sat.try_could_happen_before(ea, eb).expect("unbudgeted");
             if sat_mhb != mhb {
@@ -116,7 +116,7 @@ fn first_divergence(trace: &Trace, mode: FeasibilityMode) -> Option<Divergence> 
                 });
             }
             if b > a {
-                let ccw = exact.could_be_concurrent(ea, eb);
+                let ccw = exact.try_could_be_concurrent(ea, eb).expect("unbudgeted");
                 let sat_ccw = sat.try_could_be_concurrent(ea, eb).expect("unbudgeted");
                 if sat_ccw != ccw {
                     return Some(Divergence {

@@ -1,8 +1,8 @@
 //! The experiments of DESIGN.md §4 (E1–E11) as callable functions.
 
 use eo_engine::{
-    enumerate_classes, enumerate_classes_with, explore_statespace, EquivStrategy, ExactEngine,
-    FeasibilityMode, SearchCtx,
+    enumerate_classes, enumerate_classes_with, explore_statespace_budgeted, Budget, EquivStrategy,
+    ExactEngine, FeasibilityMode, SearchCtx,
 };
 use eo_lang::generator::{generate_trace, SyncStyle, WorkloadSpec};
 use eo_model::{fixtures, EventId, ProgramExecution};
@@ -262,7 +262,9 @@ pub fn e6_point(processes: usize, events_per_process: usize, seed: u64) -> Scali
     let exec = trace.to_execution().expect("generated traces are valid");
 
     let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-    let (space, space_time) = timed(|| explore_statespace(&ctx, 1 << 24).expect("state budget"));
+    let caps = Budget::unlimited().with_max_states(1 << 24);
+    let (space, space_time) =
+        timed(|| explore_statespace_budgeted(&ctx, &caps).expect("state budget"));
     let (classes, classes_time) = timed(|| enumerate_classes(&ctx, 200_000));
     let (_hmw, hmw_time) = timed(|| eo_approx::SafeOrderings::compute(&exec));
     let (_vc, vc_time) = timed(|| eo_approx::VectorClockHb::compute(&exec));
@@ -535,7 +537,8 @@ pub fn e10_no_clear(clears: bool, seeds: u64) -> NoClearRow {
             .count();
         row.total_classes += summary.class_count();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::IgnoreDependences);
-        let space = explore_statespace(&ctx, 1 << 22).expect("budget");
+        let caps = Budget::unlimited().with_max_states(1 << 22);
+        let space = explore_statespace_budgeted(&ctx, &caps).expect("budget");
         row.deadlockable += space.deadlock_reachable as usize;
     }
     row
@@ -713,10 +716,10 @@ pub struct ParallelRow {
 /// Runs the parallel-exploration ablation on one execution.
 pub fn ablation_parallel(label: &str, exec: &ProgramExecution) -> ParallelRow {
     let ctx = SearchCtx::new(exec, FeasibilityMode::PreserveDependences);
-    let (seq, seq_time) = timed(|| explore_statespace(&ctx, 1 << 24).expect("budget"));
-    let (par, par_time) = timed(|| {
-        eo_engine::parallel::explore_statespace_parallel(&ctx, 1 << 24, 0).expect("budget")
-    });
+    let caps = Budget::unlimited().with_max_states(1 << 24);
+    let (seq, seq_time) = timed(|| explore_statespace_budgeted(&ctx, &caps).expect("budget"));
+    let (par, par_time) =
+        timed(|| eo_engine::explore_statespace_parallel_budgeted(&ctx, &caps, 0).expect("budget"));
     assert_eq!(seq.chb, par.chb);
     assert_eq!(seq.states, par.states);
     ParallelRow {
@@ -796,7 +799,10 @@ pub fn e12_engine_point(
     let (base, baseline_time) = timed_best(5, || {
         eo_engine::explore_statespace_baseline(&ctx, 1 << 24).expect("budget")
     });
-    let (new, interned_time) = timed_best(5, || explore_statespace(&ctx, 1 << 24).expect("budget"));
+    let caps = Budget::unlimited().with_max_states(1 << 24);
+    let (new, interned_time) = timed_best(5, || {
+        explore_statespace_budgeted(&ctx, &caps).expect("budget")
+    });
     assert_eq!(base.chb, new.chb, "{label}: explorers must agree (chb)");
     assert_eq!(base.overlap, new.overlap, "{label}: overlap");
     assert_eq!(base.states, new.states, "{label}: states");
@@ -1126,7 +1132,7 @@ pub fn e13_point(
     exec: &ProgramExecution,
     mode: FeasibilityMode,
 ) -> Option<DegradationRow> {
-    use eo_engine::{AnalysisOutcome, Budget};
+    use eo_engine::AnalysisOutcome;
     let (full, full_time) = timed(|| ExactEngine::with_mode(exec, mode).try_summary());
     let full = full.ok()?;
     let point = |deadline: Duration| {
@@ -1213,12 +1219,15 @@ pub fn e14_obs_overhead() -> Vec<ObsOverheadRow> {
         .iter()
         .map(|(label, exec, mode)| {
             let ctx = SearchCtx::new(exec, *mode);
-            let (off, off_time) =
-                timed_best(7, || explore_statespace(&ctx, 1 << 24).expect("budget"));
+            let caps = Budget::unlimited().with_max_states(1 << 24);
+            let (off, off_time) = timed_best(7, || {
+                explore_statespace_budgeted(&ctx, &caps).expect("budget")
+            });
             eo_obs::start();
             let recording_armed = eo_obs::recording();
-            let (on, on_time) =
-                timed_best(7, || explore_statespace(&ctx, 1 << 24).expect("budget"));
+            let (on, on_time) = timed_best(7, || {
+                explore_statespace_budgeted(&ctx, &caps).expect("budget")
+            });
             let _ = eo_obs::finish();
             assert_eq!(off.chb, on.chb, "{label}: recording must not change CHB");
             assert_eq!(off.overlap, on.overlap, "{label}: overlap");
@@ -1857,9 +1866,9 @@ pub fn e19_sat_point(label: &str, exec: &ProgramExecution, mode: FeasibilityMode
 
     let answer_exact =
         |s: &mut QuerySession<'_, '_>, (kind, a, b): (usize, EventId, EventId)| match kind {
-            0 => s.must_happen_before(a, b),
-            1 => s.could_happen_before(a, b),
-            _ => s.could_be_concurrent(a, b),
+            0 => s.try_must_happen_before(a, b),
+            1 => s.try_could_happen_before(a, b),
+            _ => s.try_could_be_concurrent(a, b),
         };
     let answer_sat = |s: &mut SatSession, (kind, a, b): (usize, EventId, EventId)| match kind {
         0 => s.try_must_happen_before(a, b),
@@ -1871,7 +1880,7 @@ pub fn e19_sat_point(label: &str, exec: &ProgramExecution, mode: FeasibilityMode
         let mut session = QuerySession::new(&ctx);
         batch
             .iter()
-            .map(|&q| answer_exact(&mut session, q))
+            .map(|&q| answer_exact(&mut session, q).expect("unbudgeted"))
             .collect::<Vec<bool>>()
     });
     let (batch_answers, sat_batch_time) = timed_best(3, || {
@@ -2117,10 +2126,13 @@ pub fn e20_point(label: &str, spec: &WorkloadSpec) -> PrimitiveBenchRow {
         let mut session = QuerySession::new(&ctx);
         batch
             .iter()
-            .map(|&(kind, a, b)| match kind {
-                0 => session.must_happen_before(a, b),
-                1 => session.could_happen_before(a, b),
-                _ => session.could_be_concurrent(a, b),
+            .map(|&(kind, a, b)| {
+                match kind {
+                    0 => session.try_must_happen_before(a, b),
+                    1 => session.try_could_happen_before(a, b),
+                    _ => session.try_could_be_concurrent(a, b),
+                }
+                .expect("unbudgeted")
             })
             .collect::<Vec<bool>>()
     });
@@ -2576,9 +2588,10 @@ mod tests {
         // hold (legs agree, overhead is finite) on the smallest workload.
         let (label, exec, mode) = e12_workloads().swap_remove(3); // e9-pitfall-6
         let ctx = SearchCtx::new(&exec, mode);
-        let off = explore_statespace(&ctx, 1 << 24).unwrap();
+        let caps = Budget::unlimited().with_max_states(1 << 24);
+        let off = explore_statespace_budgeted(&ctx, &caps).unwrap();
         eo_obs::start();
-        let on = explore_statespace(&ctx, 1 << 24).unwrap();
+        let on = explore_statespace_budgeted(&ctx, &caps).unwrap();
         let _ = eo_obs::finish();
         assert_eq!(off.chb, on.chb, "{label}");
         assert_eq!(off.states, on.states, "{label}");

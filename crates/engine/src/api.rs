@@ -10,13 +10,12 @@
 //! [`ExactEngine`](crate::ExactEngine) are thin wrappers over it.
 //!
 //! Engine construction is likewise collapsed into one bag of options:
-//! [`EngineOptions`] carries the feasibility mode, the [`Limits`], and an
-//! optional supervisor [`Budget`], with `Default` meaning "the paper's
-//! F(P), default caps, no supervisor".
+//! [`EngineOptions`] carries the feasibility mode, the trace equivalence,
+//! and an optional supervisor [`Budget`], with `Default` meaning "the
+//! paper's F(P), default caps, no supervisor".
 
 use crate::budget::Budget;
 use crate::ctx::FeasibilityMode;
-use crate::engine::Limits;
 use crate::equiv::EquivStrategy;
 use crate::summary::OrderingSummary;
 use eo_model::EventId;
@@ -193,18 +192,17 @@ impl std::str::FromStr for QueryBackend {
 
 /// Everything configurable about an [`ExactEngine`](crate::ExactEngine),
 /// in one struct with a [`Default`]: the paper's dependence-preserving
-/// F(P), default [`Limits`], no supervisor budget.
+/// F(P), default caps, no supervisor budget.
 ///
-/// The `with_mode` / `with_limits` / `with_budget` builder methods remain
+/// The `with_mode` / `with_budget` / `with_equiv` builder methods remain
 /// and delegate here; `EngineOptions` is the one place new knobs land.
 #[derive(Clone, Debug, Default)]
 pub struct EngineOptions {
     /// Which feasibility notion the engine uses.
     pub mode: FeasibilityMode,
-    /// Resource caps for the exact passes.
-    pub limits: Limits,
     /// Optional supervisor budget (deadline, caps, cancellation); caps it
-    /// leaves unset fall back to `limits`.
+    /// leaves unset fall back to [`Self::DEFAULT_MAX_STATES`] and
+    /// [`Self::DEFAULT_MAX_SCHEDULES`].
     pub budget: Option<Budget>,
     /// Which trace equivalence the F(P) enumeration quotients by. The
     /// default (Mazurkiewicz sleep sets) is the differential baseline;
@@ -214,6 +212,14 @@ pub struct EngineOptions {
 }
 
 impl EngineOptions {
+    /// The state cap of a budget that sets none: 2²² distinct machine
+    /// states in the cut lattice (or a witness-query memo).
+    pub const DEFAULT_MAX_STATES: usize = 1 << 22;
+
+    /// The schedule cap of a budget that sets none: 2²⁰ complete
+    /// schedules recorded by the class enumeration.
+    pub const DEFAULT_MAX_SCHEDULES: usize = 1 << 20;
+
     /// Options for the given feasibility mode, everything else default.
     pub fn with_mode(mode: FeasibilityMode) -> Self {
         EngineOptions {
@@ -222,17 +228,23 @@ impl EngineOptions {
         }
     }
 
-    /// The budget queries actually run under: the attached [`Budget`]
-    /// (or an unconstrained one), with any caps it leaves unset filled
-    /// from `limits`. [`ExactEngine::query`](crate::ExactEngine::query)
-    /// and the serving layer's sessions both resolve their budgets here,
-    /// so a batched query and a one-shot query of the same engine
-    /// configuration are stopped by identical bounds.
+    /// The budget every exact pass actually runs under: the attached
+    /// [`Budget`] (or an unconstrained one), with any state or schedule
+    /// cap it leaves unset filled from [`Self::DEFAULT_MAX_STATES`] /
+    /// [`Self::DEFAULT_MAX_SCHEDULES`] (a budget cap always wins).
+    /// [`ExactEngine`](crate::ExactEngine) and the serving layer's
+    /// sessions both resolve their budgets here, so a batched query and a
+    /// one-shot query of the same engine configuration are stopped by
+    /// identical bounds.
     pub fn effective_budget(&self) -> Budget {
-        self.budget
-            .clone()
-            .unwrap_or_default()
-            .with_default_caps(self.limits.max_states, self.limits.max_schedules)
+        let mut budget = self.budget.clone().unwrap_or_default();
+        if budget.max_states().is_none() {
+            budget = budget.with_max_states(Self::DEFAULT_MAX_STATES);
+        }
+        if budget.max_schedules().is_none() {
+            budget = budget.with_max_schedules(Self::DEFAULT_MAX_SCHEDULES);
+        }
+        budget
     }
 }
 
@@ -245,9 +257,19 @@ mod tests {
         let opts = EngineOptions::default();
         assert_eq!(opts.mode, FeasibilityMode::PreserveDependences);
         assert!(opts.budget.is_none());
-        let d = Limits::default();
-        assert_eq!(opts.limits.max_states, d.max_states);
-        assert_eq!(opts.limits.max_schedules, d.max_schedules);
+        // With no budget attached, every exact pass still stops at the
+        // default caps: 2^22 states and 2^20 schedules.
+        let caps = opts.effective_budget();
+        assert_eq!(caps.max_states(), Some(1 << 22));
+        assert_eq!(caps.max_schedules(), Some(1 << 20));
+        // A budget cap wins; the cap it leaves unset gets the default.
+        let states_only = EngineOptions {
+            budget: Some(Budget::unlimited().with_max_states(7)),
+            ..EngineOptions::default()
+        }
+        .effective_budget();
+        assert_eq!(states_only.max_states(), Some(7));
+        assert_eq!(states_only.max_schedules(), Some(1 << 20));
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! SAT backend — so that any analysis can be stopped mid-flight:
 //!
 //! * a **wall-clock deadline** ([`Budget::with_deadline`]);
-//! * **state / schedule caps** (the same counts [`Limits`](crate::Limits)
-//!   bounds; a budget cap overrides the engine's defaults);
+//! * **state / schedule caps** — an engine fills any cap its budget leaves
+//!   unset with the defaults of
+//!   [`EngineOptions::effective_budget`](crate::EngineOptions::effective_budget)
+//!   (2²² states, 2²⁰ schedules), so every exact pass is bounded even
+//!   when no supervisor is attached;
 //! * an approximate **heap-bytes cap** checked against the running storage
 //!   estimate each explorer maintains;
 //! * a **cooperative cancel flag** ([`Budget::cancel_handle`]) another
@@ -96,14 +99,14 @@ impl Budget {
     }
 
     /// Caps distinct machine states (overrides
-    /// [`Limits::max_states`](crate::Limits::max_states)).
+    /// [`EngineOptions::DEFAULT_MAX_STATES`](crate::EngineOptions::DEFAULT_MAX_STATES)).
     pub fn with_max_states(mut self, max_states: usize) -> Budget {
         self.max_states = Some(max_states);
         self
     }
 
     /// Caps complete schedules the enumeration may record (overrides
-    /// [`Limits::max_schedules`](crate::Limits::max_schedules)).
+    /// [`EngineOptions::DEFAULT_MAX_SCHEDULES`](crate::EngineOptions::DEFAULT_MAX_SCHEDULES)).
     pub fn with_max_schedules(mut self, max_schedules: usize) -> Budget {
         self.max_schedules = Some(max_schedules);
         self
@@ -154,21 +157,6 @@ impl Budget {
             #[cfg(feature = "fault-injection")]
             fault: self.fault,
         }
-    }
-
-    /// Fills caps the budget leaves unset from the engine's [`Limits`]
-    /// defaults (a budget cap always wins).
-    ///
-    /// [`Limits`]: crate::Limits
-    pub(crate) fn with_default_caps(mut self, max_states: usize, max_schedules: usize) -> Budget {
-        self.max_states.get_or_insert(max_states);
-        self.max_schedules.get_or_insert(max_schedules);
-        self
-    }
-
-    /// The effective schedule cap (`usize::MAX` when uncapped).
-    pub(crate) fn schedules_cap(&self) -> usize {
-        self.max_schedules.unwrap_or(usize::MAX)
     }
 
     /// Errors iff growing the state store to `next_count` states would
@@ -239,6 +227,11 @@ impl Budget {
     /// The configured state cap, if any.
     pub fn max_states(&self) -> Option<usize> {
         self.max_states
+    }
+
+    /// The configured schedule cap, if any.
+    pub fn max_schedules(&self) -> Option<usize> {
+        self.max_schedules
     }
 
     /// The configured heap-bytes cap, if any.
@@ -332,7 +325,7 @@ mod tests {
         // ways: cancelling a renewal leaves the original untouched...
         let renewed = original.renewed();
         assert_eq!(renewed.max_states(), Some(7));
-        assert_eq!(renewed.schedules_cap(), 11);
+        assert_eq!(renewed.max_schedules(), Some(11));
         assert_eq!(renewed.max_heap_bytes(), Some(1024));
         renewed.cancel_handle().cancel();
         assert_eq!(renewed.check(0), Err(EngineError::Cancelled));

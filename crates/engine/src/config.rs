@@ -184,7 +184,7 @@ impl EngineConfig {
     /// config when the flag is absent) and folds over it the engine-knob
     /// flags every front end accepts — `--ignore-deps`, `--equiv`,
     /// `--backend`, `--static-prefilter`, `--timeout`, `--max-mem`,
-    /// `--max-states`. A flag that is present always wins over the file;
+    /// `--max-states`, `--max-schedules`. A flag that is present always wins over the file;
     /// absent flags leave the file's choice (or the default) in place.
     /// `eo analyze`, `eo serve`, and `eo-server` all call exactly this,
     /// which is what makes one config file mean the same thing to all

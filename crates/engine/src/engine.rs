@@ -4,50 +4,36 @@ use crate::api::{Answer, EngineOptions, Query, Response};
 use crate::budget::Budget;
 use crate::ctx::{FeasibilityMode, SearchCtx};
 use crate::degraded::DegradedSummary;
-use crate::enumerate::{
-    enumerate_classes_budgeted_with, enumerate_classes_with, EnumerationResult,
-};
+use crate::enumerate::{enumerate_classes_budgeted_with, EnumerationResult};
 use crate::equiv::EquivStrategy;
 use crate::queries::QuerySession;
-use crate::statespace::{self, explore_statespace};
+use crate::statespace;
 use crate::summary::OrderingSummary;
 use eo_model::{EventId, ProgramExecution};
 
-/// Resource bounds for the exact analyses. The problems are NP-/co-NP-hard
-/// (that is the paper's theorem), so honest engines carry explicit budgets
-/// instead of silently running forever.
-#[derive(Clone, Copy, Debug)]
-pub struct Limits {
-    /// Maximum distinct machine states the cut-lattice pass may visit.
-    pub max_states: usize,
-    /// Maximum complete schedules the class enumeration may record.
-    pub max_schedules: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_states: 1 << 22,
-            max_schedules: 1 << 20,
-        }
-    }
-}
-
 /// Why an exact analysis could not finish within its budget.
+///
+/// Every exact pass runs under one [`Budget`]: the attached one, with the
+/// caps it leaves unset filled from
+/// [`EngineOptions::DEFAULT_MAX_STATES`] and
+/// [`EngineOptions::DEFAULT_MAX_SCHEDULES`] (see
+/// [`EngineOptions::effective_budget`]). The problems are NP-/co-NP-hard
+/// (that is the paper's theorem), so honest engines carry explicit caps
+/// instead of silently running forever.
 ///
 /// Non-exhaustive: supervisors grow failure modes; downstream matches
 /// need a wildcard arm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// The cut lattice outgrew [`Limits::max_states`] (or the
-    /// [`Budget`] state cap).
+    /// The cut lattice outgrew the state cap (the [`Budget`]'s, or
+    /// [`EngineOptions::DEFAULT_MAX_STATES`] when it sets none).
     StateSpaceExceeded {
         /// The configured bound.
         limit: usize,
     },
-    /// The class enumeration outgrew [`Limits::max_schedules`] (or the
-    /// [`Budget`] schedule cap).
+    /// The class enumeration outgrew the schedule cap (the [`Budget`]'s,
+    /// or [`EngineOptions::DEFAULT_MAX_SCHEDULES`] when it sets none).
     ScheduleBudgetExceeded {
         /// The configured bound.
         limit: usize,
@@ -170,14 +156,9 @@ impl<'a> ExactEngine<'a> {
         Self::with_options(exec, EngineOptions::with_mode(mode))
     }
 
-    /// Replaces the resource budget.
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.opts.limits = limits;
-        self
-    }
-
     /// Attaches a supervisor [`Budget`] (deadline, caps, cancellation).
-    /// Caps the budget leaves unset fall back to the engine's [`Limits`].
+    /// Caps the budget leaves unset fall back to the engine defaults
+    /// ([`EngineOptions::effective_budget`]).
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.opts.budget = Some(budget);
         self
@@ -196,12 +177,6 @@ impl<'a> ExactEngine<'a> {
         &self.opts
     }
 
-    /// The budget every pass runs under: the attached one (with `Limits`
-    /// filling unset caps) or a cap-only budget from `Limits`.
-    fn effective_budget(&self) -> Budget {
-        self.opts.effective_budget()
-    }
-
     /// The underlying search context (for direct use of the lower-level
     /// APIs).
     pub fn ctx(&self) -> &SearchCtx<'a> {
@@ -213,21 +188,7 @@ impl<'a> ExactEngine<'a> {
     /// deadline, memory, or cancellation when a [`Budget`] is attached).
     pub fn try_summary(&self) -> Result<OrderingSummary, EngineError> {
         eo_obs::span!("engine.try_summary");
-        if self.opts.budget.is_none() {
-            // Cap-only fast path: no checkpoint calls in the hot loops.
-            let space = explore_statespace(&self.ctx, self.opts.limits.max_states)?;
-            let classes =
-                enumerate_classes_with(&self.ctx, self.opts.limits.max_schedules, self.opts.equiv);
-            if classes.truncated {
-                return Err(EngineError::ScheduleBudgetExceeded {
-                    limit: self.opts.limits.max_schedules,
-                });
-            }
-            let summary = OrderingSummary::from_parts(&space, &classes);
-            debug_assert_eq!(summary.check_identities(), Ok(()));
-            return Ok(summary);
-        }
-        let budget = self.effective_budget();
+        let budget = self.opts.effective_budget();
         let space = statespace::explore_statespace_budgeted(&self.ctx, &budget)?;
         let (classes, stopped) =
             enumerate_classes_budgeted_with(&self.ctx, &budget, self.opts.equiv);
@@ -258,7 +219,7 @@ impl<'a> ExactEngine<'a> {
     /// always drained and joined.
     pub fn analyze_with_threads(&self, threads: usize) -> AnalysisOutcome {
         eo_obs::span!("engine.analyze");
-        let budget = self.effective_budget();
+        let budget = self.opts.effective_budget();
         let (mut graph, stopped) = if threads == 1 {
             let b = statespace::build_graph_budgeted(&self.ctx, &budget);
             (b.graph, b.stopped)
@@ -266,11 +227,7 @@ impl<'a> ExactEngine<'a> {
             crate::parallel::explore_parallel_partial(&self.ctx, &budget, threads)
         };
         let space_complete = stopped.is_none();
-        let space = if space_complete {
-            statespace::finalize(&self.ctx, &mut graph)
-        } else {
-            statespace::finalize_partial(&self.ctx, &mut graph)
-        };
+        let space = statespace::finalize(&self.ctx, &mut graph, space_complete);
         // Enumeration still runs after a truncated space pass: its orders
         // are complete feasible executions in their own right, and every
         // one sharpens the degraded facts. The budget is already
@@ -330,35 +287,28 @@ impl<'a> ExactEngine<'a> {
 
     /// Enumerates F(P) (the distinct induced partial orders).
     pub fn feasible_set(&self) -> Result<EnumerationResult, EngineError> {
-        if self.opts.budget.is_none() {
-            let r =
-                enumerate_classes_with(&self.ctx, self.opts.limits.max_schedules, self.opts.equiv);
-            if r.truncated {
-                return Err(EngineError::ScheduleBudgetExceeded {
-                    limit: self.opts.limits.max_schedules,
-                });
-            }
-            return Ok(r);
-        }
-        let (r, stopped) =
-            enumerate_classes_budgeted_with(&self.ctx, &self.effective_budget(), self.opts.equiv);
+        let (r, stopped) = enumerate_classes_budgeted_with(
+            &self.ctx,
+            &self.opts.effective_budget(),
+            self.opts.equiv,
+        );
         match stopped {
             Some(e) => Err(e),
             None => Ok(r),
         }
     }
 
-    /// Answers one [`Query`] under the engine's effective budget: the
-    /// attached [`Budget`] (with `Limits` filling unset caps) or a
-    /// cap-only budget from `Limits`. This is the single entry point the
-    /// per-relation methods below and the serving layer route through.
+    /// Answers one [`Query`] under the engine's effective budget (the
+    /// attached [`Budget`] with the default caps filling unset caps).
+    /// This is the single fallible entry point: the per-relation methods
+    /// below and the serving layer route through it.
     ///
     /// Point queries run an early-exit witness search in a fresh
     /// [`QuerySession`]; [`Query::Summary`] runs the full
     /// [`try_summary`](Self::try_summary) passes. Errors at the first
     /// exhausted budget resource.
     pub fn query(&self, query: Query) -> Result<Response, EngineError> {
-        self.query_with_budget(query, self.effective_budget())
+        self.query_with_budget(query, self.opts.effective_budget())
     }
 
     /// [`query`](Self::query) against an explicit budget (the infallible
@@ -434,63 +384,6 @@ impl<'a> ExactEngine<'a> {
             _ => unreachable!("witness queries answer with witnesses"),
         }
     }
-
-    /// Budgeted twin of [`mhb`](Self::mhb): decides under the engine's
-    /// effective budget, erroring at the first exhausted resource.
-    #[doc(alias = "query")]
-    pub fn try_mhb(&self, a: EventId, b: EventId) -> Result<bool, EngineError> {
-        Ok(self
-            .query(Query::Mhb { a, b })?
-            .answer
-            .as_bool()
-            .expect("mhb answers are booleans"))
-    }
-
-    /// Budgeted twin of [`chb`](Self::chb).
-    #[doc(alias = "query")]
-    pub fn try_chb(&self, a: EventId, b: EventId) -> Result<bool, EngineError> {
-        Ok(self
-            .query(Query::Chb { a, b })?
-            .answer
-            .as_bool()
-            .expect("chb answers are booleans"))
-    }
-
-    /// Budgeted twin of [`ccw`](Self::ccw).
-    #[doc(alias = "query")]
-    pub fn try_ccw(&self, a: EventId, b: EventId) -> Result<bool, EngineError> {
-        Ok(self
-            .query(Query::Ccw { a, b })?
-            .answer
-            .as_bool()
-            .expect("ccw answers are booleans"))
-    }
-
-    /// Budgeted twin of [`witness_before`](Self::witness_before).
-    #[doc(alias = "query")]
-    pub fn try_witness_before(
-        &self,
-        first: EventId,
-        second: EventId,
-    ) -> Result<Option<Vec<EventId>>, EngineError> {
-        match self.query(Query::WitnessBefore { first, second })?.answer {
-            Answer::Witness(w) => Ok(w),
-            _ => unreachable!("witness queries answer with witnesses"),
-        }
-    }
-
-    /// Budgeted twin of [`witness_overlap`](Self::witness_overlap).
-    #[doc(alias = "query")]
-    pub fn try_witness_overlap(
-        &self,
-        a: EventId,
-        b: EventId,
-    ) -> Result<Option<Vec<EventId>>, EngineError> {
-        match self.query(Query::WitnessOverlap { a, b })?.answer {
-            Answer::Witness(w) => Ok(w),
-            _ => unreachable!("witness queries answer with witnesses"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -521,10 +414,7 @@ mod tests {
     fn budget_errors_are_reported() {
         let (trace, _ids) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
-        let tiny = ExactEngine::new(&exec).with_limits(Limits {
-            max_states: 2,
-            max_schedules: 1 << 20,
-        });
+        let tiny = ExactEngine::new(&exec).with_budget(Budget::unlimited().with_max_states(2));
         assert!(matches!(
             tiny.try_summary(),
             Err(EngineError::StateSpaceExceeded { limit: 2 })
@@ -533,10 +423,7 @@ mod tests {
         // The clear chain has many schedule classes; a budget of 1 truncates.
         let (trace2, _ids) = fixtures::post_wait_clear_chain();
         let exec2 = trace2.to_execution().unwrap();
-        let tiny2 = ExactEngine::new(&exec2).with_limits(Limits {
-            max_states: 1 << 20,
-            max_schedules: 1,
-        });
+        let tiny2 = ExactEngine::new(&exec2).with_budget(Budget::unlimited().with_max_schedules(1));
         assert!(matches!(
             tiny2.try_summary(),
             Err(EngineError::ScheduleBudgetExceeded { limit: 1 })
@@ -554,19 +441,30 @@ mod tests {
                     continue;
                 }
                 let (ea, eb) = (EventId::new(a), EventId::new(b));
+                let answer = |q: Query| engine.query(q).unwrap().answer;
                 let q = Query::Mhb { a: ea, b: eb };
                 let r = engine.query(q).unwrap();
                 assert_eq!(r.query, q, "responses echo their query");
                 assert_eq!(r.answer.as_bool(), Some(engine.mhb(ea, eb)));
-                assert_eq!(engine.try_chb(ea, eb).unwrap(), engine.chb(ea, eb));
-                assert_eq!(engine.try_ccw(ea, eb).unwrap(), engine.ccw(ea, eb));
                 assert_eq!(
-                    engine.try_witness_before(ea, eb).unwrap(),
-                    engine.witness_before(ea, eb)
+                    answer(Query::Chb { a: ea, b: eb }).as_bool(),
+                    Some(engine.chb(ea, eb))
                 );
                 assert_eq!(
-                    engine.try_witness_overlap(ea, eb).unwrap(),
-                    engine.witness_overlap(ea, eb)
+                    answer(Query::Ccw { a: ea, b: eb }).as_bool(),
+                    Some(engine.ccw(ea, eb))
+                );
+                assert_eq!(
+                    answer(Query::WitnessBefore {
+                        first: ea,
+                        second: eb
+                    })
+                    .as_witness(),
+                    Some(&engine.witness_before(ea, eb))
+                );
+                assert_eq!(
+                    answer(Query::WitnessOverlap { a: ea, b: eb }).as_witness(),
+                    Some(&engine.witness_overlap(ea, eb))
                 );
             }
         }
@@ -578,13 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_twins_honor_the_attached_budget() {
+    fn query_honors_the_attached_budget() {
         let (trace, _ids) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
         let engine = ExactEngine::new(&exec).with_budget(Budget::unlimited().with_max_states(1));
         let (a, b) = (EventId::new(0), EventId::new(1));
         assert!(matches!(
-            engine.try_mhb(a, b),
+            engine.query(Query::Mhb { a, b }),
             Err(EngineError::StateSpaceExceeded { limit: 1 })
         ));
         // The infallible wrappers keep their never-fails contract even on
@@ -599,7 +497,6 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let opts = EngineOptions {
             mode: FeasibilityMode::IgnoreDependences,
-            limits: Limits::default(),
             budget: None,
             equiv: EquivStrategy::default(),
         };

@@ -110,9 +110,9 @@ struct Enumerator<'c, 'a> {
     schedules_explored: usize,
     truncated: bool,
     pruned_branches: usize,
-    /// Supervisor budget, checked once per DFS step; `None` is the
-    /// zero-overhead legacy path.
-    budget: Option<&'c Budget>,
+    /// Supervisor budget, checked once per DFS step (its schedule cap is
+    /// `max_schedules`).
+    budget: &'c Budget,
     /// First budget failure; once set the search unwinds without
     /// recording anything further.
     stopped: Option<EngineError>,
@@ -182,11 +182,9 @@ impl Enumerator<'_, '_> {
         if self.truncated || self.stopped.is_some() {
             return;
         }
-        if let Some(budget) = self.budget {
-            if let Err(e) = budget.check(self.heap_estimate()) {
-                self.stopped = Some(e);
-                return;
-            }
+        if let Err(e) = self.budget.check(self.heap_estimate()) {
+            self.stopped = Some(e);
+            return;
         }
         if self.ctx.is_complete(st) {
             self.record();
@@ -234,11 +232,9 @@ impl Enumerator<'_, '_> {
         if self.truncated || self.stopped.is_some() {
             return;
         }
-        if let Some(budget) = self.budget {
-            if let Err(e) = budget.check(self.heap_estimate()) {
-                self.stopped = Some(e);
-                return;
-            }
+        if let Err(e) = self.budget.check(self.heap_estimate()) {
+            self.stopped = Some(e);
+            return;
         }
         let scan = self.scan.as_ref().expect("canonical search seeds the scan");
         let ordering_hash = match mode {
@@ -302,9 +298,8 @@ struct SearchConfig {
 
 fn run(
     ctx: &SearchCtx<'_>,
-    max_schedules: usize,
     config: SearchConfig,
-    budget: Option<&Budget>,
+    budget: &Budget,
 ) -> (EnumerationResult, Option<EngineError>) {
     let n = ctx.n_events();
     eo_obs::span!("engine.enumerate");
@@ -317,7 +312,7 @@ fn run(
     let use_sleep = config.prune && equiv.sleep_sets();
     let mut en = Enumerator {
         ctx,
-        max_schedules,
+        max_schedules: budget.max_schedules().unwrap_or(usize::MAX),
         use_sleep,
         canon,
         schedule: Vec::with_capacity(n),
@@ -388,37 +383,33 @@ pub fn enumerate_classes(ctx: &SearchCtx<'_>, max_schedules: usize) -> Enumerati
     enumerate_classes_with(ctx, max_schedules, EquivStrategy::default())
 }
 
-/// Pruned enumeration under an explicit [`EquivStrategy`].
+/// Pruned enumeration under an explicit [`EquivStrategy`], capped at
+/// `max_schedules` recorded schedules.
 pub fn enumerate_classes_with(
     ctx: &SearchCtx<'_>,
     max_schedules: usize,
     strategy: EquivStrategy,
 ) -> EnumerationResult {
-    run(
-        ctx,
-        max_schedules,
-        SearchConfig {
-            strategy,
-            prune: true,
-        },
-        None,
-    )
-    .0
+    let config = SearchConfig {
+        strategy,
+        prune: true,
+    };
+    run(ctx, config, &schedule_cap(max_schedules)).0
 }
 
 /// Unpruned enumeration of every interleaving — the oracle/ablation
 /// variant. Factorially expensive; keep inputs tiny.
 pub fn enumerate_naive(ctx: &SearchCtx<'_>, max_schedules: usize) -> EnumerationResult {
-    run(
-        ctx,
-        max_schedules,
-        SearchConfig {
-            strategy: EquivStrategy::Mazurkiewicz,
-            prune: false,
-        },
-        None,
-    )
-    .0
+    let config = SearchConfig {
+        strategy: EquivStrategy::Mazurkiewicz,
+        prune: false,
+    };
+    run(ctx, config, &schedule_cap(max_schedules)).0
+}
+
+/// A budget whose only constraint is the schedule cap.
+fn schedule_cap(max_schedules: usize) -> Budget {
+    Budget::unlimited().with_max_schedules(max_schedules)
 }
 
 /// Pruned enumeration under a supervisor [`Budget`] and an explicit
@@ -430,20 +421,16 @@ pub(crate) fn enumerate_classes_budgeted_with(
     budget: &Budget,
     strategy: EquivStrategy,
 ) -> (EnumerationResult, Option<EngineError>) {
-    let cap = budget.schedules_cap();
-    let (result, stopped) = run(
-        ctx,
-        cap,
-        SearchConfig {
-            strategy,
-            prune: true,
-        },
-        Some(budget),
-    );
-    let stopped = stopped.or(if result.truncated {
-        Some(EngineError::ScheduleBudgetExceeded { limit: cap })
-    } else {
-        None
+    let config = SearchConfig {
+        strategy,
+        prune: true,
+    };
+    let (result, stopped) = run(ctx, config, budget);
+    let stopped = stopped.or_else(|| {
+        let limit = budget.max_schedules().unwrap_or(usize::MAX);
+        result
+            .truncated
+            .then_some(EngineError::ScheduleBudgetExceeded { limit })
     });
     (result, stopped)
 }

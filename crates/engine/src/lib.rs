@@ -76,21 +76,17 @@ pub use budget::{Budget, CancelHandle};
 pub use config::EngineConfig;
 pub use ctx::{FeasibilityMode, SearchCtx};
 pub use degraded::{DegradedSummary, Fact};
-pub use engine::{AnalysisOutcome, EngineError, ExactEngine, Limits};
+pub use engine::{AnalysisOutcome, EngineError, ExactEngine};
 pub use enumerate::{
     enumerate_classes, enumerate_classes_with, enumerate_naive, EnumerationResult,
 };
 pub use equiv::{EquivStrategy, Equivalence};
 #[cfg(feature = "fault-injection")]
 pub use faultpoint::{Fault, FaultPlan};
-pub use parallel::{explore_statespace_parallel, explore_statespace_parallel_budgeted};
+pub use parallel::explore_statespace_parallel_budgeted;
 pub use pool::run_tasks;
 pub use queries::{QueryMemo, QuerySession};
-pub use sat_backend::{
-    chb_via_sat, chb_via_sat_budgeted, mhb_via_sat, mhb_via_sat_budgeted, SatSession,
-};
-pub use statespace::{
-    explore_statespace, explore_statespace_baseline, explore_statespace_budgeted, StateSpaceResult,
-};
+pub use sat_backend::{chb_via_sat_budgeted, SatSession};
+pub use statespace::{explore_statespace_baseline, explore_statespace_budgeted, StateSpaceResult};
 pub use statetable::{StateId, StateTable};
 pub use summary::OrderingSummary;

@@ -91,24 +91,12 @@ enum TaskResult {
     Failed,
 }
 
-/// Parallel variant of [`crate::explore_statespace`]. `threads = 0` means
-/// "use the available parallelism".
-pub fn explore_statespace_parallel(
-    ctx: &SearchCtx<'_>,
-    max_states: usize,
-    threads: usize,
-) -> Result<StateSpaceResult, EngineError> {
-    explore_statespace_parallel_budgeted(
-        ctx,
-        &Budget::unlimited().with_max_states(max_states),
-        threads,
-    )
-}
-
-/// Parallel exploration under a full supervisor [`Budget`] (deadline,
-/// caps, memory, cancellation — checked once per BFS level — plus worker
-/// checkpoints for fault injection). All-or-nothing; degraded analyses
-/// use `explore_parallel_partial` to keep the truncated graph.
+/// Parallel variant of [`crate::explore_statespace_budgeted`] under a
+/// full supervisor [`Budget`] (deadline, caps, memory, cancellation —
+/// checked once per BFS level — plus worker checkpoints for fault
+/// injection). `threads = 0` means "use the available parallelism".
+/// All-or-nothing; degraded analyses use `explore_parallel_partial` to
+/// keep the truncated graph.
 pub fn explore_statespace_parallel_budgeted(
     ctx: &SearchCtx<'_>,
     budget: &Budget,
@@ -124,7 +112,7 @@ pub fn explore_statespace_parallel_budgeted(
 /// Builds the cut-lattice graph on the worker pool, stopping at the first
 /// exhausted budget resource or worker failure. The graph built so far is
 /// returned either way (level-consistent; see
-/// [`crate::statespace::finalize_partial`] for what a truncated graph
+/// [`crate::statespace::finalize`] for what a truncated graph
 /// soundly proves). Every pool thread is joined before this returns.
 pub(crate) fn explore_parallel_partial(
     ctx: &SearchCtx<'_>,
@@ -411,14 +399,18 @@ fn finalize_parallel(
 mod tests {
     use super::*;
     use crate::ctx::FeasibilityMode;
-    use crate::statespace::explore_statespace;
+    use crate::statespace::explore_statespace_budgeted;
     use eo_model::fixtures;
+
+    fn capped(max_states: usize) -> Budget {
+        Budget::unlimited().with_max_states(max_states)
+    }
 
     fn both(trace: &eo_model::Trace) -> (StateSpaceResult, StateSpaceResult) {
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let seq = explore_statespace(&ctx, 1 << 20).unwrap();
-        let par = explore_statespace_parallel(&ctx, 1 << 20, 4).unwrap();
+        let seq = explore_statespace_budgeted(&ctx, &capped(1 << 20)).unwrap();
+        let par = explore_statespace_parallel_budgeted(&ctx, &capped(1 << 20), 4).unwrap();
         (seq, par)
     }
 
@@ -453,8 +445,8 @@ mod tests {
         spec.events_per_process = 4;
         let exec = generate_trace(&spec, 50).to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let seq = explore_statespace(&ctx, 1 << 22).unwrap();
-        let par = explore_statespace_parallel(&ctx, 1 << 22, 3).unwrap();
+        let seq = explore_statespace_budgeted(&ctx, &capped(1 << 22)).unwrap();
+        let par = explore_statespace_parallel_budgeted(&ctx, &capped(1 << 22), 3).unwrap();
         assert_same(&seq, &par);
     }
 
@@ -463,8 +455,8 @@ mod tests {
         let (trace, _) = fixtures::sem_handshake();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let auto = explore_statespace_parallel(&ctx, 1 << 20, 0).unwrap();
-        let seq = explore_statespace(&ctx, 1 << 20).unwrap();
+        let auto = explore_statespace_parallel_budgeted(&ctx, &capped(1 << 20), 0).unwrap();
+        let seq = explore_statespace_budgeted(&ctx, &capped(1 << 20)).unwrap();
         assert_eq!(auto.chb, seq.chb);
     }
 
@@ -474,7 +466,7 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
         assert!(matches!(
-            explore_statespace_parallel(&ctx, 3, 2),
+            explore_statespace_parallel_budgeted(&ctx, &capped(3), 2),
             Err(EngineError::StateSpaceExceeded { limit: 3 })
         ));
     }

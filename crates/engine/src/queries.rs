@@ -6,7 +6,7 @@
 //! can stop at the first witness. These queries power the theorem
 //! benchmarks and give the engine its decision-procedure face:
 //! satisfiability of the reduced formula is literally read off
-//! [`witness_before`]'s answer.
+//! [`QuerySession::try_witness_before`]'s answer.
 //!
 //! ## Sessions and memos
 //!
@@ -31,8 +31,9 @@
 //!
 //! Race detection asks about *many* pairs of one execution; routing them
 //! through one memo turns the per-pair searches from cold starts into
-//! incremental probes of a shared lattice. The free functions below wrap a
-//! throwaway session for one-shot use.
+//! incremental probes of a shared lattice. One-shot callers go through
+//! [`ExactEngine`](crate::ExactEngine)'s point queries, which wrap a
+//! throwaway session.
 //!
 //! All searches are explicit-stack (no recursion — adversarial inputs make
 //! the lattice deep) and build their witness schedules front-to-back, so a
@@ -561,17 +562,6 @@ impl<'c, 'e> QuerySession<'c, 'e> {
         self.memo.try_witness_before(self.ctx, first, second)
     }
 
-    /// Infallible [`QuerySession::try_witness_before`] for unbudgeted
-    /// sessions.
-    ///
-    /// # Panics
-    /// Panics if the session's budget is exhausted mid-query; sessions
-    /// opened with [`QuerySession::new`] never are.
-    pub fn witness_before(&mut self, first: EventId, second: EventId) -> Option<Vec<EventId>> {
-        self.try_witness_before(first, second)
-            .unwrap_or_else(|e| panic!("witness query exceeded its budget: {e}"))
-    }
-
     /// Searches for a feasible execution in which `a` and `b` are
     /// simultaneously ready to execute (and running both keeps completion
     /// reachable). Returns the schedule prefix up to that state.
@@ -585,17 +575,6 @@ impl<'c, 'e> QuerySession<'c, 'e> {
         b: EventId,
     ) -> Result<Option<Vec<EventId>>, EngineError> {
         self.memo.try_witness_overlap(self.ctx, a, b)
-    }
-
-    /// Infallible [`QuerySession::try_witness_overlap`] for unbudgeted
-    /// sessions.
-    ///
-    /// # Panics
-    /// Panics if the session's budget is exhausted mid-query; sessions
-    /// opened with [`QuerySession::new`] never are.
-    pub fn witness_overlap(&mut self, a: EventId, b: EventId) -> Option<Vec<EventId>> {
-        self.try_witness_overlap(a, b)
-            .unwrap_or_else(|e| panic!("witness query exceeded its budget: {e}"))
     }
 
     /// Decides `a MHB b` by witness search: true iff **no** feasible
@@ -617,66 +596,22 @@ impl<'c, 'e> QuerySession<'c, 'e> {
     pub fn try_could_be_concurrent(&mut self, a: EventId, b: EventId) -> Result<bool, EngineError> {
         self.memo.try_could_be_concurrent(self.ctx, a, b)
     }
-
-    /// Decides `a MHB b` by witness search: true iff **no** feasible
-    /// schedule runs `b` before `a`.
-    pub fn must_happen_before(&mut self, a: EventId, b: EventId) -> bool {
-        a != b && self.witness_before(b, a).is_none()
-    }
-
-    /// Decides `a CHB b` by witness search: true iff some feasible
-    /// schedule runs `a` before `b`.
-    pub fn could_happen_before(&mut self, a: EventId, b: EventId) -> bool {
-        a != b && self.witness_before(a, b).is_some()
-    }
-
-    /// Decides operational `a CCW b` by witness search.
-    pub fn could_be_concurrent(&mut self, a: EventId, b: EventId) -> bool {
-        a != b && self.witness_overlap(a, b).is_some()
-    }
-}
-
-/// One-shot [`QuerySession::witness_before`]. Callers with many queries
-/// against one execution should hold a session instead.
-pub fn witness_before(
-    ctx: &SearchCtx<'_>,
-    first: EventId,
-    second: EventId,
-) -> Option<Vec<EventId>> {
-    QuerySession::new(ctx).witness_before(first, second)
-}
-
-/// Decides `a MHB b` by witness search: true iff **no** feasible schedule
-/// runs `b` before `a`.
-pub fn must_happen_before(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
-    QuerySession::new(ctx).must_happen_before(a, b)
-}
-
-/// Decides `a CHB b` by witness search: true iff some feasible schedule
-/// runs `a` before `b`.
-pub fn could_happen_before(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
-    QuerySession::new(ctx).could_happen_before(a, b)
-}
-
-/// One-shot [`QuerySession::witness_overlap`].
-pub fn witness_overlap(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> Option<Vec<EventId>> {
-    QuerySession::new(ctx).witness_overlap(a, b)
-}
-
-/// Decides operational `a CCW b` by witness search.
-pub fn could_be_concurrent(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
-    QuerySession::new(ctx).could_be_concurrent(a, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::FeasibilityMode;
-    use crate::statespace::explore_statespace;
+    use crate::statespace::explore_statespace_budgeted;
     use eo_model::fixtures;
 
     fn ctx_of(exec: &eo_model::ProgramExecution) -> SearchCtx<'_> {
         SearchCtx::new(exec, FeasibilityMode::PreserveDependences)
+    }
+
+    /// A throwaway session: every query through it starts cold.
+    fn one_shot<'c, 'e>(ctx: &'c SearchCtx<'e>) -> QuerySession<'c, 'e> {
+        QuerySession::new(ctx)
     }
 
     #[test]
@@ -684,7 +619,10 @@ mod tests {
         let (trace, a, b) = fixtures::independent_pair();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        let w = witness_before(&ctx, b, a).expect("b can go first");
+        let w = one_shot(&ctx)
+            .try_witness_before(b, a)
+            .unwrap()
+            .expect("b can go first");
         assert_eq!(w.len(), exec.n_events());
         assert!(ctx.machine().replay(&w).is_ok(), "witness replays cleanly");
         let pos = |e: EventId| w.iter().position(|&x| x == e).unwrap();
@@ -696,9 +634,13 @@ mod tests {
         let (trace, ids) = fixtures::sem_handshake();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        assert!(must_happen_before(&ctx, ids.v, ids.p));
-        assert!(!must_happen_before(&ctx, ids.after_v, ids.after_p));
-        assert!(could_happen_before(&ctx, ids.after_p, ids.after_v));
+        assert!(one_shot(&ctx).try_must_happen_before(ids.v, ids.p).unwrap());
+        assert!(!one_shot(&ctx)
+            .try_must_happen_before(ids.after_v, ids.after_p)
+            .unwrap());
+        assert!(one_shot(&ctx)
+            .try_could_happen_before(ids.after_p, ids.after_v)
+            .unwrap());
     }
 
     #[test]
@@ -706,8 +648,13 @@ mod tests {
         let (trace, ids) = fixtures::figure1();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        assert!(must_happen_before(&ctx, ids.post_left, ids.post_right));
-        assert!(witness_before(&ctx, ids.post_right, ids.post_left).is_none());
+        assert!(one_shot(&ctx)
+            .try_must_happen_before(ids.post_left, ids.post_right)
+            .unwrap());
+        assert!(one_shot(&ctx)
+            .try_witness_before(ids.post_right, ids.post_left)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -715,7 +662,10 @@ mod tests {
         let (trace, ids) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        let prefix = witness_overlap(&ctx, ids.left, ids.right).expect("workers overlap");
+        let prefix = one_shot(&ctx)
+            .try_witness_overlap(ids.left, ids.right)
+            .unwrap()
+            .expect("workers overlap");
         // The prefix must be a valid partial schedule: replay it step by
         // step on the machine.
         let mut st = ctx.initial_state();
@@ -734,8 +684,12 @@ mod tests {
         let (trace, ids) = fixtures::sem_handshake();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        assert!(!could_be_concurrent(&ctx, ids.v, ids.p));
-        assert!(could_be_concurrent(&ctx, ids.after_v, ids.after_p));
+        assert!(!one_shot(&ctx)
+            .try_could_be_concurrent(ids.v, ids.p)
+            .unwrap());
+        assert!(one_shot(&ctx)
+            .try_could_be_concurrent(ids.after_v, ids.after_p)
+            .unwrap());
     }
 
     #[test]
@@ -746,7 +700,7 @@ mod tests {
         ] {
             let exec = trace.to_execution().unwrap();
             let ctx = ctx_of(&exec);
-            let space = explore_statespace(&ctx, 1 << 20).unwrap();
+            let space = explore_statespace_budgeted(&ctx, &Budget::unlimited()).unwrap();
             let n = exec.n_events();
             // One shared session across every pair: the persistent dead
             // memo and the per-query stamps must not bleed answers between
@@ -759,22 +713,22 @@ mod tests {
                     }
                     let (ea, eb) = (EventId::new(a), EventId::new(b));
                     assert_eq!(
-                        session.could_happen_before(ea, eb),
+                        session.try_could_happen_before(ea, eb).unwrap(),
                         space.chb.contains(a, b),
                         "chb({a},{b})"
                     );
                     assert_eq!(
-                        could_happen_before(&ctx, ea, eb),
+                        one_shot(&ctx).try_could_happen_before(ea, eb).unwrap(),
                         space.chb.contains(a, b),
                         "one-shot chb({a},{b})"
                     );
                     assert_eq!(
-                        session.could_be_concurrent(ea, eb),
+                        session.try_could_be_concurrent(ea, eb).unwrap(),
                         space.overlap.contains(a, b),
                         "overlap({a},{b})"
                     );
                     assert_eq!(
-                        could_be_concurrent(&ctx, ea, eb),
+                        one_shot(&ctx).try_could_be_concurrent(ea, eb).unwrap(),
                         space.overlap.contains(a, b),
                         "one-shot overlap({a},{b})"
                     );
@@ -798,13 +752,13 @@ mod tests {
                 }
                 let (ea, eb) = (EventId::new(a), EventId::new(b));
                 assert_eq!(
-                    session.witness_before(ea, eb),
-                    witness_before(&ctx, ea, eb),
+                    session.try_witness_before(ea, eb).unwrap(),
+                    one_shot(&ctx).try_witness_before(ea, eb).unwrap(),
                     "witness_before({a},{b}) must not depend on session history"
                 );
                 assert_eq!(
-                    session.witness_overlap(ea, eb),
-                    witness_overlap(&ctx, ea, eb),
+                    session.try_witness_overlap(ea, eb).unwrap(),
+                    one_shot(&ctx).try_witness_overlap(ea, eb).unwrap(),
                     "witness_overlap({a},{b}) must not depend on session history"
                 );
             }
@@ -821,7 +775,9 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
         let mut session = QuerySession::new(&ctx);
-        let w1 = session.witness_before(ids.post_left, ids.post_right);
+        let w1 = session
+            .try_witness_before(ids.post_left, ids.post_right)
+            .unwrap();
         let after_first = session.interned_states();
         let mut memo = session.into_memo();
         let ctx2 = ctx_of(&exec);
@@ -833,7 +789,9 @@ mod tests {
         assert_eq!(
             memo.try_must_happen_before(&ctx2, ids.post_left, ids.post_right)
                 .unwrap(),
-            must_happen_before(&ctx, ids.post_left, ids.post_right)
+            one_shot(&ctx)
+                .try_must_happen_before(ids.post_left, ids.post_right)
+                .unwrap()
         );
     }
 
@@ -846,6 +804,6 @@ mod tests {
         let wait1 = ids[1];
         // Running the wait before its post is impossible in a *complete*
         // execution.
-        assert!(must_happen_before(&ctx, post1, wait1));
+        assert!(one_shot(&ctx).try_must_happen_before(post1, wait1).unwrap());
     }
 }

@@ -18,9 +18,9 @@
 //!   against the shared CDCL solver, so conflict clauses learned by one
 //!   query prune the next. This is the `--backend sat` path of `eo serve`
 //!   and the subject of experiment E19.
-//! * the one-shot [`chb_via_sat`] / [`mhb_via_sat`] free functions and
-//!   their budgeted variants, which build a fresh encoding per call —
-//!   the historical cross-validation surface, kept verbatim.
+//! * the one-shot [`chb_via_sat_budgeted`], which builds a fresh
+//!   encoding per call — the cross-validation surface for callers that
+//!   want no solver state shared between queries.
 //!
 //! Budgets thread through the solver's stop callback: the supervisor
 //! [`Budget`] is polled before the (cubic) encoding is built and
@@ -32,7 +32,6 @@ use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
 use eo_model::EventId;
-use eo_sat::Solver;
 use eo_sym::{PoEncoding, SymOutcome};
 
 /// A long-lived SAT-backed query session over one execution.
@@ -183,38 +182,13 @@ impl SatSession {
     }
 }
 
-/// Surfaces a one-shot solver's work counters through the observability
-/// layer (`sat.dpll_nodes` / `sat.dpll_decisions` / `sat.dpll_backtracks`
-/// — the names predate the CDCL rewrite and are part of the metrics
-/// schema).
-fn emit_solver_metrics(solver: &Solver) {
-    eo_obs::counter!("sat.dpll_nodes", solver.nodes_visited);
-    eo_obs::counter!("sat.dpll_decisions", solver.decisions);
-    eo_obs::counter!("sat.dpll_backtracks", solver.backtracks);
-}
-
-/// Decides `first CHB second` by SAT, returning the witness schedule on
-/// success. One-shot: builds a fresh encoding per call — batching callers
-/// should hold a [`SatSession`] instead.
-pub fn chb_via_sat(ctx: &SearchCtx<'_>, first: EventId, second: EventId) -> Option<Vec<EventId>> {
-    assert_ne!(first, second);
-    let mut session = SatSession::new(ctx);
-    let result = session
-        .try_witness_before(first, second)
-        .expect("an unlimited budget cannot interrupt the solver");
-    emit_solver_metrics(session.enc.solver());
-    result
-}
-
-/// Decides `a MHB b` by SAT: no feasible schedule runs `b` before `a`.
-pub fn mhb_via_sat(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
-    a != b && chb_via_sat(ctx, b, a).is_none()
-}
-
-/// [`chb_via_sat`] under a supervisor [`Budget`]: the budget is checked
-/// before the (cubic) encoding is built and periodically inside unit
-/// propagation, so a deadline or cancellation interrupts even a
-/// pathological solve. Errors with the first exhausted resource.
+/// Decides `first CHB second` by SAT under a supervisor [`Budget`],
+/// returning the witness schedule on success. One-shot: builds a fresh
+/// encoding per call — batching callers should hold a [`SatSession`]
+/// instead. The budget is checked before the (cubic) encoding is built
+/// and periodically inside unit propagation, so a deadline or
+/// cancellation interrupts even a pathological solve. Errors with the
+/// first exhausted resource.
 pub fn chb_via_sat_budgeted(
     ctx: &SearchCtx<'_>,
     first: EventId,
@@ -223,32 +197,34 @@ pub fn chb_via_sat_budgeted(
 ) -> Result<Option<Vec<EventId>>, EngineError> {
     assert_ne!(first, second);
     budget.check(0)?;
-    let mut session = SatSession::with_budget(ctx, budget.clone());
-    let result = session.try_witness_before(first, second);
-    emit_solver_metrics(session.enc.solver());
-    result
-}
-
-/// [`mhb_via_sat`] under a supervisor [`Budget`]; see
-/// [`chb_via_sat_budgeted`].
-pub fn mhb_via_sat_budgeted(
-    ctx: &SearchCtx<'_>,
-    a: EventId,
-    b: EventId,
-    budget: &Budget,
-) -> Result<bool, EngineError> {
-    Ok(a != b && chb_via_sat_budgeted(ctx, b, a, budget)?.is_none())
+    SatSession::with_budget(ctx, budget.clone()).try_witness_before(first, second)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx::FeasibilityMode;
-    use crate::queries;
+    use crate::queries::QuerySession;
     use eo_model::{fixtures, Op};
 
     fn ctx_of(exec: &eo_model::ProgramExecution) -> SearchCtx<'_> {
         SearchCtx::new(exec, FeasibilityMode::PreserveDependences)
+    }
+
+    /// One-shot CHB by SAT: a fresh encoding per call.
+    fn sat_chb(ctx: &SearchCtx<'_>, first: EventId, second: EventId) -> Option<Vec<EventId>> {
+        chb_via_sat_budgeted(ctx, first, second, &Budget::unlimited()).unwrap()
+    }
+
+    /// One-shot MHB by SAT: no feasible schedule runs `b` before `a`.
+    fn sat_mhb(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
+        a != b && sat_chb(ctx, b, a).is_none()
+    }
+
+    /// A fresh witness-search session per query: the oracle shares no
+    /// memo with earlier queries.
+    fn search<'c, 'e>(ctx: &'c SearchCtx<'e>) -> QuerySession<'c, 'e> {
+        QuerySession::new(ctx)
     }
 
     fn all_fixtures() -> Vec<eo_model::Trace> {
@@ -268,9 +244,9 @@ mod tests {
         let (trace, ids) = fixtures::sem_handshake();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        assert!(mhb_via_sat(&ctx, ids.v, ids.p));
-        assert!(chb_via_sat(&ctx, ids.p, ids.v).is_none());
-        let witness = chb_via_sat(&ctx, ids.after_p, ids.after_v).expect("tails reorder");
+        assert!(sat_mhb(&ctx, ids.v, ids.p));
+        assert!(sat_chb(&ctx, ids.p, ids.v).is_none());
+        let witness = sat_chb(&ctx, ids.after_p, ids.after_v).expect("tails reorder");
         assert!(
             ctx.machine().replay(&witness).is_ok(),
             "decoded schedule replays"
@@ -282,9 +258,9 @@ mod tests {
         let (trace, ids) = fixtures::figure1();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        assert!(mhb_via_sat(&ctx, ids.post_left, ids.post_right));
+        assert!(sat_mhb(&ctx, ids.post_left, ids.post_right));
         let relaxed = SearchCtx::new(&exec, FeasibilityMode::IgnoreDependences);
-        assert!(!mhb_via_sat(&relaxed, ids.post_left, ids.post_right));
+        assert!(!sat_mhb(&relaxed, ids.post_left, ids.post_right));
     }
 
     #[test]
@@ -294,8 +270,8 @@ mod tests {
         let ctx = ctx_of(&exec);
         // wait1 before post1 is infeasible; the SAT backend must agree
         // even though the machine can deadlock down those branches.
-        assert!(chb_via_sat(&ctx, ids[1], ids[0]).is_none());
-        assert!(mhb_via_sat(&ctx, ids[0], ids[1]));
+        assert!(sat_chb(&ctx, ids[1], ids[0]).is_none());
+        assert!(sat_mhb(&ctx, ids[0], ids[1]));
     }
 
     #[test]
@@ -311,8 +287,8 @@ mod tests {
                     }
                     let (ea, eb) = (EventId::new(a), EventId::new(b));
                     assert_eq!(
-                        chb_via_sat(&ctx, ea, eb).is_some(),
-                        queries::could_happen_before(&ctx, ea, eb),
+                        sat_chb(&ctx, ea, eb).is_some(),
+                        search(&ctx).try_could_happen_before(ea, eb).unwrap(),
                         "chb({a},{b}) disagrees"
                     );
                 }
@@ -339,17 +315,17 @@ mod tests {
                         let (ea, eb) = (EventId::new(a), EventId::new(b));
                         assert_eq!(
                             session.try_must_happen_before(ea, eb).unwrap(),
-                            queries::must_happen_before(&ctx, ea, eb),
+                            search(&ctx).try_must_happen_before(ea, eb).unwrap(),
                             "mhb({a},{b}) disagrees in {mode:?}"
                         );
                         assert_eq!(
                             session.try_could_happen_before(ea, eb).unwrap(),
-                            queries::could_happen_before(&ctx, ea, eb),
+                            search(&ctx).try_could_happen_before(ea, eb).unwrap(),
                             "chb({a},{b}) disagrees in {mode:?}"
                         );
                         assert_eq!(
                             session.try_could_be_concurrent(ea, eb).unwrap(),
-                            queries::could_be_concurrent(&ctx, ea, eb),
+                            search(&ctx).try_could_be_concurrent(ea, eb).unwrap(),
                             "ccw({a},{b}) disagrees in {mode:?}"
                         );
                     }
@@ -399,7 +375,7 @@ mod tests {
         let (trace, a, b) = fixtures::crossing();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        let w = chb_via_sat(&ctx, b, a).expect("either order feasible");
+        let w = sat_chb(&ctx, b, a).expect("either order feasible");
         let pos = |e: EventId| w.iter().position(|&x| x == e).unwrap();
         assert!(pos(b) < pos(a));
         assert!(ctx.machine().replay(&w).is_ok());
@@ -416,8 +392,8 @@ mod tests {
         let exec = tb.build().unwrap().to_execution().unwrap();
         let ctx = ctx_of(&exec);
         // The P may precede the V (initial token) or follow it.
-        assert!(chb_via_sat(&ctx, q, v).is_some());
-        assert!(chb_via_sat(&ctx, v, q).is_some());
+        assert!(sat_chb(&ctx, q, v).is_some());
+        assert!(sat_chb(&ctx, v, q).is_some());
     }
 
     #[test]

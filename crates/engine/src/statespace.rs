@@ -144,23 +144,13 @@ impl StateGraph {
     }
 }
 
-/// Explores the full reachable state space of `ctx`, bounded by
-/// `max_states`.
+/// Explores the full reachable state space of `ctx` under `budget`:
+/// every [`Budget`] resource is honored at per-expansion granularity.
 ///
-/// Errors with [`EngineError::StateSpaceExceeded`] when the bound is hit —
-/// the honest outcome the paper predicts for adversarial inputs.
-pub fn explore_statespace(
-    ctx: &SearchCtx<'_>,
-    max_states: usize,
-) -> Result<StateSpaceResult, EngineError> {
-    let mut graph = build_graph(ctx, max_states)?;
-    Ok(finalize(ctx, &mut graph))
-}
-
-/// Budgeted variant of [`explore_statespace`]: every [`Budget`] resource
-/// is honored at per-expansion granularity. All-or-nothing — for the
-/// partial graph a degraded analysis salvages, see
-/// `build_graph_budgeted`.
+/// Errors with the first exhausted resource — for the state cap,
+/// [`EngineError::StateSpaceExceeded`], the honest outcome the paper
+/// predicts for adversarial inputs. All-or-nothing; for the partial graph
+/// a degraded analysis salvages, see `build_graph_budgeted`.
 pub fn explore_statespace_budgeted(
     ctx: &SearchCtx<'_>,
     budget: &Budget,
@@ -170,7 +160,7 @@ pub fn explore_statespace_budgeted(
         Some(e) => Err(e),
         None => {
             let mut graph = b.graph;
-            Ok(finalize(ctx, &mut graph))
+            Ok(finalize(ctx, &mut graph, true))
         }
     }
 }
@@ -181,20 +171,22 @@ pub fn explore_statespace_budgeted(
 /// The truncated graph is *consistent*: every node's `enabled` list is
 /// filled when the node is pushed, and `succs` is either complete or a
 /// prefix of `enabled`'s alignment (frontier nodes have no successors
-/// recorded yet). [`finalize_partial`] turns it into sound
-/// under-approximations.
+/// recorded yet). [`finalize`] turns it into sound under-approximations.
 pub(crate) struct PartialExploration {
     pub(crate) graph: StateGraph,
     pub(crate) stopped: Option<EngineError>,
 }
 
-/// [`build_graph`] under a full [`Budget`]: checks the deadline / memory /
-/// cancel budget once per expanded node and the state cap per fresh
-/// state. On exhaustion the graph built so far is returned alongside the
-/// error instead of being discarded.
+/// Expands every reachable state exactly once into a [`StateGraph`],
+/// checking the deadline / memory / cancel budget once per expanded node
+/// and the state cap per fresh state. On exhaustion the graph built so
+/// far is returned alongside the error instead of being discarded.
 pub(crate) fn build_graph_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> PartialExploration {
     eo_obs::span!("engine.build_graph");
     let mut graph = StateGraph::seeded(ctx);
+    // One scratch state walks every lattice edge: `clone_from` reuses its
+    // buffers and `intern_ref` clones only on a fresh insert, so the
+    // expansion loop allocates per *state*, never per edge.
     let mut scratch = ctx.initial_state();
     // O(1) running storage estimate (`approx_bytes` is O(nodes), far too
     // slow for a per-checkpoint call): arena payload per state plus the
@@ -232,6 +224,8 @@ pub(crate) fn build_graph_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> Part
                     succs: Vec::new(),
                     completable: false,
                 });
+                // The successor executed exactly one more event than its
+                // parent: inherit the row, add one bit.
                 let row = graph.executed.push_row_copy(cursor);
                 debug_assert_eq!(row, id.index());
                 graph.executed.set(row, e.index());
@@ -244,69 +238,13 @@ pub(crate) fn build_graph_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> Part
     PartialExploration { graph, stopped }
 }
 
-/// Expands every reachable state exactly once into a [`StateGraph`].
-pub(crate) fn build_graph(
-    ctx: &SearchCtx<'_>,
-    max_states: usize,
-) -> Result<StateGraph, EngineError> {
-    eo_obs::span!("engine.build_graph");
-    let mut graph = StateGraph::seeded(ctx);
-    // One scratch state walks every lattice edge: `clone_from` reuses its
-    // buffers and `intern_ref` clones only on a fresh insert, so the
-    // expansion loop allocates per *state*, never per edge.
-    let mut scratch = ctx.initial_state();
-    let mut cursor = 0;
-    while cursor < graph.nodes.len() {
-        let parent_fp = graph.table.fingerprint(StateId::new(cursor));
-        for k in 0..graph.nodes[cursor].enabled.len() {
-            let (p, e) = graph.nodes[cursor].enabled[k];
-            scratch.clone_from(graph.table.get(StateId::new(cursor)));
-            let mut fp = parent_fp;
-            ctx.apply_keyed(&mut scratch, p, e, &mut fp);
-            let (id, fresh) = graph.table.intern_ref_keyed(&scratch, fp);
-            if fresh {
-                if graph.nodes.len() >= max_states {
-                    return Err(EngineError::StateSpaceExceeded { limit: max_states });
-                }
-                debug_assert_eq!(id.index(), graph.nodes.len());
-                graph.nodes.push(Node {
-                    enabled: ctx.co_enabled(graph.table.get(id)),
-                    succs: Vec::new(),
-                    completable: false,
-                });
-                // The successor executed exactly one more event than its
-                // parent: inherit the row, add one bit.
-                let row = graph.executed.push_row_copy(cursor);
-                debug_assert_eq!(row, id.index());
-                graph.executed.set(row, e.index());
-            }
-            graph.nodes[cursor].succs.push(id.index() as u32);
-        }
-        cursor += 1;
-    }
-    graph.emit_metrics();
-    Ok(graph)
-}
-
 /// Completability back-propagation plus pairwise-fact accumulation over an
 /// already-built state graph. Shared by the sequential and parallel
 /// explorers (the parallel one runs [`accumulate_range`] on chunks).
-pub(crate) fn finalize(ctx: &SearchCtx<'_>, graph: &mut StateGraph) -> StateSpaceResult {
-    eo_obs::span!("engine.finalize");
-    let deadlock_reachable = propagate_completability(ctx, graph, true);
-    let (chb, overlap, completable_states) = accumulate_range(ctx, graph, 0, graph.nodes.len());
-    StateSpaceResult {
-        chb,
-        overlap,
-        states: graph.nodes.len(),
-        completable_states,
-        deadlock_reachable,
-        approx_heap_bytes: graph.approx_bytes(),
-    }
-}
-
-/// [`finalize`] over a budget-truncated graph. The result is a **sound
-/// under-approximation** of the full answer:
+///
+/// `complete_graph` says whether every reachable state was expanded. Over
+/// a budget-truncated graph the result is a **sound under-approximation**
+/// of the full answer:
 ///
 /// * a node is marked completable only when an explored complete state is
 ///   reachable through *recorded* edges, so every `chb`/`overlap` bit set
@@ -318,9 +256,13 @@ pub(crate) fn finalize(ctx: &SearchCtx<'_>, graph: &mut StateGraph) -> StateSpac
 /// * `deadlock_reachable = true` is still definite — `enabled` lists are
 ///   computed when nodes are pushed, so an incomplete empty-enabled node
 ///   is a real deadlock — but `false` now means "not proved".
-pub(crate) fn finalize_partial(ctx: &SearchCtx<'_>, graph: &mut StateGraph) -> StateSpaceResult {
+pub(crate) fn finalize(
+    ctx: &SearchCtx<'_>,
+    graph: &mut StateGraph,
+    complete_graph: bool,
+) -> StateSpaceResult {
     eo_obs::span!("engine.finalize");
-    let deadlock_reachable = propagate_completability(ctx, graph, false);
+    let deadlock_reachable = propagate_completability(ctx, graph, complete_graph);
     let (chb, overlap, completable_states) = accumulate_range(ctx, graph, 0, graph.nodes.len());
     StateSpaceResult {
         chb,
@@ -467,9 +409,9 @@ struct BaselineNode {
 /// stored twice), per-state executed sets rebuilt by O(n) machine
 /// queries, and overlap probes that clone + 2×step + hash-look-up.
 ///
-/// Semantically identical to [`explore_statespace`] — the differential
-/// suite asserts bit-equality of every relation and count on every
-/// workload family.
+/// Semantically identical to [`explore_statespace_budgeted`] — the
+/// differential suite asserts bit-equality of every relation and count on
+/// every workload family.
 pub fn explore_statespace_baseline(
     ctx: &SearchCtx<'_>,
     max_states: usize,
@@ -613,9 +555,13 @@ mod tests {
     use eo_model::fixtures;
     use eo_model::ProgramExecution;
 
+    fn capped(max_states: usize) -> Budget {
+        Budget::unlimited().with_max_states(max_states)
+    }
+
     fn space(exec: &ProgramExecution, mode: FeasibilityMode) -> StateSpaceResult {
         let ctx = SearchCtx::new(exec, mode);
-        let r = explore_statespace(&ctx, 1 << 20).unwrap();
+        let r = explore_statespace_budgeted(&ctx, &capped(1 << 20)).unwrap();
         // Every test doubles as a differential check against the
         // pre-interning baseline.
         let base = explore_statespace_baseline(&ctx, 1 << 20).unwrap();
@@ -742,7 +688,7 @@ mod tests {
         let (trace, _ids) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        match explore_statespace(&ctx, 3) {
+        match explore_statespace_budgeted(&ctx, &capped(3)) {
             Err(EngineError::StateSpaceExceeded { limit }) => assert_eq!(limit, 3),
             other => panic!("expected StateSpaceExceeded, got {other:?}"),
         }
@@ -783,7 +729,7 @@ mod tests {
         let (trace, _ids) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let new = explore_statespace(&ctx, 1 << 20).unwrap();
+        let new = explore_statespace_budgeted(&ctx, &capped(1 << 20)).unwrap();
         let old = explore_statespace_baseline(&ctx, 1 << 20).unwrap();
         assert!(
             new.approx_heap_bytes < old.approx_heap_bytes,

@@ -242,13 +242,14 @@ mod tests {
     use super::*;
     use crate::ctx::{FeasibilityMode, SearchCtx};
     use crate::enumerate::enumerate_classes;
-    use crate::statespace::explore_statespace;
+    use crate::statespace::explore_statespace_budgeted;
+    use crate::Budget;
     use eo_model::fixtures;
 
     fn summarize(trace: &eo_model::Trace) -> (OrderingSummary, eo_model::ProgramExecution) {
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let space = explore_statespace(&ctx, 1 << 20).unwrap();
+        let space = explore_statespace_budgeted(&ctx, &Budget::unlimited()).unwrap();
         let classes = enumerate_classes(&ctx, 1 << 20);
         let s = OrderingSummary::from_parts(&space, &classes);
         s.check_identities().unwrap();
@@ -335,7 +336,7 @@ mod tests {
         let (trace, _ids) = fixtures::post_wait_clear_chain();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let space = explore_statespace(&ctx, 1 << 20).unwrap();
+        let space = explore_statespace_budgeted(&ctx, &Budget::unlimited()).unwrap();
         let classes = enumerate_classes(&ctx, 1);
         assert!(classes.truncated);
         let _ = OrderingSummary::from_parts(&space, &classes);
@@ -351,7 +352,7 @@ mod tests {
         let (trace, _ids) = fixtures::post_wait_clear_chain();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let space = explore_statespace(&ctx, 1 << 20).unwrap();
+        let space = explore_statespace_budgeted(&ctx, &Budget::unlimited()).unwrap();
         for strategy in EquivStrategy::ALL {
             // The chain has 10 induced orders, so a cap of 1 truncates
             // even the perfectly pruned canonical searches.

@@ -14,22 +14,26 @@
 //! set of induced orders — and every summary relation built from it —
 //! must be bit-identical to the sleep-set Mazurkiewicz baseline.
 
-use eo_engine::EquivStrategy;
-use eo_engine::{enumerate_classes, enumerate_classes_with, parallel::explore_statespace_parallel};
+use eo_engine::{enumerate_classes, enumerate_classes_with, explore_statespace_parallel_budgeted};
 use eo_engine::{
-    explore_statespace, explore_statespace_baseline, queries, FeasibilityMode, OrderingSummary,
-    QuerySession, SearchCtx, StateSpaceResult,
+    explore_statespace_baseline, explore_statespace_budgeted, Budget, EquivStrategy, ExactEngine,
+    FeasibilityMode, OrderingSummary, QuerySession, SearchCtx, StateSpaceResult,
 };
 use eo_model::{EventId, ProgramExecution};
 
 const BUDGET: usize = 1 << 22;
 
+fn state_cap() -> Budget {
+    Budget::unlimited().with_max_states(BUDGET)
+}
+
 /// Runs all three explorers and asserts the semantic fields agree exactly.
 fn assert_explorers_agree(exec: &ProgramExecution, mode: FeasibilityMode) -> StateSpaceResult {
     let ctx = SearchCtx::new(exec, mode);
-    let interned = explore_statespace(&ctx, BUDGET).expect("state budget");
+    let interned = explore_statespace_budgeted(&ctx, &state_cap()).expect("state budget");
     let baseline = explore_statespace_baseline(&ctx, BUDGET).expect("state budget");
-    let parallel = explore_statespace_parallel(&ctx, BUDGET, 3).expect("state budget");
+    let parallel =
+        explore_statespace_parallel_budgeted(&ctx, &state_cap(), 3).expect("state budget");
     for (name, other) in [("baseline", &baseline), ("parallel", &parallel)] {
         assert_eq!(interned.chb, other.chb, "chb vs {name}");
         assert_eq!(interned.overlap, other.overlap, "overlap vs {name}");
@@ -59,30 +63,31 @@ fn assert_queries_agree(exec: &ProgramExecution, mode: FeasibilityMode, space: &
             }
             let (ea, eb) = (EventId::new(a), EventId::new(b));
             assert_eq!(
-                session.could_happen_before(ea, eb),
+                session.try_could_happen_before(ea, eb).unwrap(),
                 space.chb.contains(a, b),
                 "session chb({a},{b})"
             );
             assert_eq!(
-                session.could_be_concurrent(ea, eb),
+                session.try_could_be_concurrent(ea, eb).unwrap(),
                 space.overlap.contains(a, b),
                 "session overlap({a},{b})"
             );
         }
     }
-    // Spot-check the one-shot wrappers on the first row (the full
+    // Spot-check the one-shot engine queries on the first row (the full
     // quadratic sweep above already covers the session path).
     if n > 1 {
+        let engine = ExactEngine::with_mode(exec, mode);
         let ea = EventId::new(0);
         for b in 1..n {
             let eb = EventId::new(b);
             assert_eq!(
-                queries::could_happen_before(&ctx, ea, eb),
+                engine.chb(ea, eb),
                 space.chb.contains(0, b),
                 "one-shot chb(0,{b})"
             );
             assert_eq!(
-                queries::could_be_concurrent(&ctx, ea, eb),
+                engine.ccw(ea, eb),
                 space.overlap.contains(0, b),
                 "one-shot overlap(0,{b})"
             );
@@ -99,7 +104,7 @@ fn assert_strategies_agree(exec: &ProgramExecution, mode: FeasibilityMode) {
     let ctx = SearchCtx::new(exec, mode);
     let base = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::Mazurkiewicz);
     assert!(!base.truncated, "differential workloads must not truncate");
-    let space = explore_statespace(&ctx, BUDGET).unwrap();
+    let space = explore_statespace_budgeted(&ctx, &state_cap()).unwrap();
     let old = OrderingSummary::from_parts(&space, &base);
     let mut base_fps: Vec<u128> = base.orders.iter().map(|o| o.fingerprint128()).collect();
     base_fps.sort_unstable();
@@ -172,7 +177,7 @@ fn fixture_summaries_bit_identical() {
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
         let classes = enumerate_classes(&ctx, 1 << 20);
-        let interned = explore_statespace(&ctx, BUDGET).unwrap();
+        let interned = explore_statespace_budgeted(&ctx, &state_cap()).unwrap();
         let baseline = explore_statespace_baseline(&ctx, BUDGET).unwrap();
         let new = OrderingSummary::from_parts(&interned, &classes);
         let old = OrderingSummary::from_parts(&baseline, &classes);

@@ -66,14 +66,11 @@ pub fn conflicting_pairs(exec: &ProgramExecution) -> Vec<Race> {
 /// Worst-case exponential — that is the theorem.
 pub fn exact_races(exec: &ProgramExecution) -> Vec<Race> {
     let ctx = SearchCtx::new(exec, FeasibilityMode::IgnoreDependences);
-    // One session across every candidate pair: the interned state arena
-    // and the dead-state memo carry over from query to query, so later
-    // pairs probe a lattice the earlier pairs already charted.
-    let mut session = QuerySession::new(&ctx);
-    conflicting_pairs(exec)
-        .into_iter()
-        .filter(|r| session.could_be_concurrent(r.first, r.second))
-        .collect()
+    // One memo across every candidate pair: the interned state arena and
+    // the dead-state memo carry over from query to query, so later pairs
+    // probe a lattice the earlier pairs already charted.
+    let mut memo = QueryMemo::new(&ctx);
+    try_exact_races_with_memo(&ctx, &mut memo).expect("an unlimited budget never stops")
 }
 
 /// [`exact_races`] probing a caller-owned [`QueryMemo`] under the memo's
@@ -230,7 +227,10 @@ pub fn pruned_exact_races_with_prefilter(
             continue;
         }
         out.engine_queries += 1;
-        if session.could_be_concurrent(r.first, r.second) {
+        if session
+            .try_could_be_concurrent(r.first, r.second)
+            .expect("an unlimited budget never stops")
+        {
             out.races.push(r);
         }
     }

@@ -33,7 +33,7 @@ use std::hash::Hasher;
 /// Serving-side configuration for an [`AnalysisSession`].
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Engine configuration (feasibility mode, limits, budget). The
+    /// Engine configuration (feasibility mode, equivalence, budget). The
     /// session resolves budgets through
     /// [`EngineOptions::effective_budget`], exactly as one-shot queries
     /// do.
@@ -253,8 +253,8 @@ impl<'e> AnalysisSession<'e> {
         // `Query::Summary` builds a one-shot engine from these options, so
         // they must carry the renewed budget too.
         self.config.engine.budget = Some(budget);
-        // The memos take the *resolved* budget (unset caps filled from the
-        // engine limits), exactly as construction does.
+        // The memos take the *resolved* budget (unset caps filled with the
+        // engine defaults), exactly as construction does.
         let effective = self.config.engine.effective_budget();
         self.memo.set_budget(effective.clone());
         if let Some(memo) = &mut self.race_memo {

@@ -12,7 +12,7 @@
 //! cargo run -p event-ordering --example alternate_orderings
 //! ```
 
-use eo_engine::{queries, sat_backend, ExactEngine, FeasibilityMode, SearchCtx};
+use eo_engine::{ExactEngine, FeasibilityMode, SatSession, SearchCtx};
 use eo_lang::generator::pipeline_program;
 use eo_model::render;
 use eo_relations::closure;
@@ -49,10 +49,13 @@ fn main() {
     let s0_last = exec.event_labeled("s0_item1").unwrap();
     let s1_first = exec.event_labeled("s1_item0").unwrap();
     let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
+    let mut sat = SatSession::new(&ctx);
 
     let mhb_space = engine.summary().mhb(s0_last, s1_first);
-    let mhb_witness = queries::must_happen_before(&ctx, s0_last, s1_first);
-    let mhb_sat = sat_backend::mhb_via_sat(&ctx, s0_last, s1_first);
+    let mhb_witness = engine.mhb(s0_last, s1_first);
+    let mhb_sat = sat
+        .try_must_happen_before(s0_last, s1_first)
+        .expect("an unlimited budget never stops the solver");
     println!(
         "\nmust s0_item1 happen before s1_item0?  statespace={mhb_space} \
          witness-search={mhb_witness} sat-encoding={mhb_sat}"
@@ -61,7 +64,7 @@ fn main() {
     assert_eq!(mhb_space, mhb_sat);
 
     let ccw_space = engine.summary().ccw(s0_last, s1_first);
-    let ccw_witness = queries::could_be_concurrent(&ctx, s0_last, s1_first);
+    let ccw_witness = engine.ccw(s0_last, s1_first);
     println!(
         "could they run concurrently?           statespace={ccw_space} \
          witness-search={ccw_witness}"
@@ -69,7 +72,10 @@ fn main() {
     assert_eq!(ccw_space, ccw_witness);
 
     // And extract an actual alternate schedule as a certificate.
-    if let Some(witness) = sat_backend::chb_via_sat(&ctx, s1_first, s0_last) {
+    let alternate = sat
+        .try_witness_before(s1_first, s0_last)
+        .expect("an unlimited budget never stops the solver");
+    if let Some(witness) = alternate {
         println!("\nan alternate feasible schedule running s1_item0 before s0_item1:");
         for e in &witness {
             println!("  {}", render::event_name(&exec, *e));

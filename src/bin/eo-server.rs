@@ -6,6 +6,7 @@
 //!           [--max-programs <n>] [--max-conns <n>] [--max-frame <bytes>]
 //!           [--config <file.json>]
 //!           [--timeout <ms>] [--max-mem <bytes>] [--max-states <n>]
+//!           [--max-schedules <n>]
 //!           [--read-timeout-ms <ms>] [--write-timeout-ms <ms>]
 //!           [--idle-timeout-ms <ms>] [--drain-deadline-ms <ms>]
 //!           [--drain-grace-ms <ms>] [--retry-after-ms <ms>]

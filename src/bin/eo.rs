@@ -4,12 +4,14 @@
 //! eo analyze <trace.json> [--config <file.json>] [--ignore-deps] [--matrix]
 //!            [--fixture <name>] [--json] [--equiv <strategy>]
 //!            [--timeout <ms>] [--max-mem <bytes>] [--max-states <n>]
+//!            [--max-schedules <n>]
 //!            [--no-degrade] [--static-prefilter]
 //!            [--trace-out <f>] [--metrics-out <f>]
 //!            [--profile]                            six relations of a trace
 //! eo serve   <trace.json> [--batch <req.json>] [--threads <n>]
 //!            [--config <file.json>]
 //!            [--timeout <ms>] [--max-mem <bytes>] [--max-states <n>]
+//!            [--max-schedules <n>]
 //!            [--no-cache] [--no-prefilter] [--static-prefilter]
 //!            [--ignore-deps] [--equiv <strategy>] [--backend exact|sat]
 //!            [--metrics-out <f>]                    batched query sessions
@@ -25,13 +27,14 @@
 //! eo figure1                                        the paper's Figure 1 demo
 //! ```
 //!
-//! `analyze` runs under a supervisor budget: `--timeout`, `--max-mem` and
-//! `--max-states` bound the exact passes, and when a bound is hit the
-//! command prints the sound degraded report instead of failing. `^C` (or
-//! SIGTERM) cancels the same way: the engine stops at its next budget
-//! checkpoint and the command prints the degraded report for whatever
-//! was explored so far. Exit codes: **0** exact answer, **2** degraded
-//! answer (including interruption), **3** budget exceeded with
+//! `analyze` runs under a supervisor budget: `--timeout`, `--max-mem`,
+//! `--max-states` and `--max-schedules` bound the exact passes (the two
+//! caps default to 2^22 states and 2^20 schedules), and when a bound is
+//! hit the command prints the sound degraded report instead of failing.
+//! `^C` (or SIGTERM) cancels the same way: the engine stops at its next
+//! budget checkpoint and the command prints the degraded report for
+//! whatever was explored so far. Exit codes: **0** exact answer, **2**
+//! degraded answer (including interruption), **3** budget exceeded with
 //! `--no-degrade`, **1** usage or input errors.
 //!
 //! `--trace-out` writes a Chrome-trace JSON of the engine's spans,
@@ -99,12 +102,12 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage:\n  eo analyze <trace.json> [--config <file.json>] [--ignore-deps] [--matrix]\n      \
                  [--fixture <name>] [--json] [--timeout <ms>] [--max-mem <bytes>] [--max-states <n>]\n      \
-                 [--no-degrade] [--static-prefilter] [--equiv <strategy>]\n      \
+                 [--max-schedules <n>] [--no-degrade] [--static-prefilter] [--equiv <strategy>]\n      \
                  [--trace-out <file>] [--metrics-out <file>] [--profile]\n  \
                  eo serve <trace.json> [--batch <requests.json>] [--threads <n>]\n      \
                  [--config <file.json>] [--timeout <ms>] [--max-mem <bytes>] [--max-states <n>]\n      \
-                 [--no-cache] [--no-prefilter] [--static-prefilter] [--ignore-deps]\n      \
-                 [--backend exact|sat] [--equiv mazurkiewicz|normal-form|grain]\n      \
+                 [--max-schedules <n>] [--no-cache] [--no-prefilter] [--static-prefilter]\n      \
+                 [--ignore-deps] [--backend exact|sat] [--equiv mazurkiewicz|normal-form|grain]\n      \
                  [--metrics-out <file>]\n  \
                  eo races <trace.json>\n  eo sat <n_vars> <n_clauses> <seed> [--events]\n  \
                  eo lint <trace.json>... [--json] [--mhp] [--deny error|warning|info] \

@@ -112,9 +112,13 @@ fn degraded_run_exits_two_and_still_flushes() {
 
 #[test]
 fn no_degrade_budget_exhaustion_always_exits_three() {
-    // Both budget shapes: a zero deadline and a tiny state cap. Neither
-    // may ever be reported as success.
-    for extra in [&["--timeout", "0"][..], &["--max-states", "1"][..]] {
+    // Every budget shape: a zero deadline, a tiny state cap and a tiny
+    // schedule cap. None may ever be reported as success.
+    for extra in [
+        &["--timeout", "0"][..],
+        &["--max-states", "1"][..],
+        &["--max-schedules", "1"][..],
+    ] {
         let m = tmp(&format!("hard-{}.json", extra[0].trim_start_matches('-')));
         let mut args = vec!["analyze", FIGURE1, "--no-degrade", "--json"];
         args.extend_from_slice(extra);

@@ -3,10 +3,10 @@
 //! soundness of every polynomial baseline.
 
 use eo_engine::{
+    chb_via_sat_budgeted,
     enumerate::{enumerate_classes, enumerate_classes_with, enumerate_naive},
-    explore_statespace,
-    parallel::explore_statespace_parallel,
-    queries, EquivStrategy, ExactEngine, FeasibilityMode, SearchCtx,
+    explore_statespace_budgeted, explore_statespace_parallel_budgeted, Budget, EquivStrategy,
+    ExactEngine, FeasibilityMode, SearchCtx,
 };
 use eo_lang::generator::{generate_trace, SyncStyle, WorkloadSpec};
 use eo_model::{EventId, ProgramExecution};
@@ -77,6 +77,11 @@ fn exec_of(spec: &WorkloadSpec) -> ProgramExecution {
         .expect("generated traces are valid")
 }
 
+/// The state cap every cut-lattice pass here runs under.
+fn state_cap() -> Budget {
+    Budget::unlimited().with_max_states(1 << 22)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -95,19 +100,20 @@ proptest! {
     fn statespace_agrees_with_witness_queries(spec in small_spec()) {
         let exec = exec_of(&spec);
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let space = explore_statespace(&ctx, 1 << 22).unwrap();
+        let space = explore_statespace_budgeted(&ctx, &state_cap()).unwrap();
+        let engine = ExactEngine::new(&exec);
         let n = exec.n_events();
         for a in 0..n {
             for b in (a + 1)..n {
                 let (ea, eb) = (EventId::new(a), EventId::new(b));
                 prop_assert_eq!(
                     space.chb.contains(a, b),
-                    queries::could_happen_before(&ctx, ea, eb),
+                    engine.chb(ea, eb),
                     "chb({},{})", a, b
                 );
                 prop_assert_eq!(
                     space.overlap.contains(a, b),
-                    queries::could_be_concurrent(&ctx, ea, eb),
+                    engine.ccw(ea, eb),
                     "overlap({},{})", a, b
                 );
             }
@@ -135,8 +141,8 @@ proptest! {
     fn parallel_statespace_matches_sequential(spec in small_spec()) {
         let exec = exec_of(&spec);
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let seq = explore_statespace(&ctx, 1 << 22).unwrap();
-        let par = explore_statespace_parallel(&ctx, 1 << 22, 3).unwrap();
+        let seq = explore_statespace_budgeted(&ctx, &state_cap()).unwrap();
+        let par = explore_statespace_parallel_budgeted(&ctx, &state_cap(), 3).unwrap();
         prop_assert_eq!(seq.chb, par.chb);
         prop_assert_eq!(seq.overlap, par.overlap);
         prop_assert_eq!(seq.states, par.states);
@@ -149,6 +155,7 @@ proptest! {
         let exec = exec_of(&spec);
         prop_assume!(exec.n_events() <= 12); // the encoding is cubic
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
+        let engine = ExactEngine::new(&exec);
         for a in 0..exec.n_events() {
             for b in 0..exec.n_events() {
                 if a == b {
@@ -156,8 +163,8 @@ proptest! {
                 }
                 let (ea, eb) = (EventId::new(a), EventId::new(b));
                 prop_assert_eq!(
-                    eo_engine::sat_backend::chb_via_sat(&ctx, ea, eb).is_some(),
-                    queries::could_happen_before(&ctx, ea, eb),
+                    chb_via_sat_budgeted(&ctx, ea, eb, &Budget::unlimited()).unwrap().is_some(),
+                    engine.chb(ea, eb),
                     "sat-vs-search chb({},{})", a, b
                 );
             }
@@ -188,7 +195,7 @@ proptest! {
         let n = exec.n_events();
         prop_assume!(n >= 2);
         let (a, b) = (EventId::new(0), EventId::new(n - 1));
-        if let Some(w) = queries::witness_before(&ctx, b, a) {
+        if let Some(w) = ExactEngine::new(&exec).witness_before(b, a) {
             prop_assert!(ctx.machine().replay(&w).is_ok());
             let pos = |e: EventId| w.iter().position(|&x| x == e).unwrap();
             prop_assert!(pos(b) < pos(a));
