@@ -24,7 +24,14 @@
 //! committed `BENCH_sat.json` is present (or `--sat-baseline <file>` is
 //! given), it re-measures the E19 enumeration-vs-symbolic study and
 //! gates its crossover (a workload the SAT backend won must stay won)
-//! and its incremental-vs-fresh speedup (>25% loss fails).
+//! and its incremental-vs-fresh speedup (>25% loss fails). When a
+//! committed `BENCH_primitives.json` is present (or
+//! `--primitives-baseline <file>` is given), it re-measures the E20
+//! surface-primitive study and gates its deterministic shape: statement
+//! counts, trace size and exact |F(P)| under both feasibility modes.
+//!
+//! Each gate is one entry of `GATES`: an optional gate is skipped when
+//! its default file is missing, but a file named by its flag must exist.
 
 use eo_bench::table::render;
 use eo_bench::*;
@@ -36,325 +43,242 @@ fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
-/// The perf-regression gate (CI's `perf-gate` job; also runnable locally).
-/// Exits the process: 0 when every workload passes, 1 otherwise.
-fn check_regression(args: &[String]) -> ! {
-    let baseline_path = match args.iter().position(|a| a == "--baseline") {
-        None => "BENCH_engine.json".to_string(),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("check-regression: --baseline takes a file path");
-                std::process::exit(1);
-            }
-        },
-    };
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-regression: reading {baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("== perf-regression gate: re-measuring E12 against {baseline_path} ==");
+/// One gated table row: the cells before the verdict column, the label
+/// its `FAIL` lines name, and its failures (empty = the row passed).
+struct GateRow {
+    label: String,
+    cells: Vec<String>,
+    failures: Vec<String>,
+}
+
+/// One baseline gate of `check-regression`.
+struct Gate {
+    /// Flag naming a baseline file other than `default_file`.
+    flag: &'static str,
+    default_file: &'static str,
+    /// A missing default file skips an optional gate; a named file (or a
+    /// mandatory gate's default) must exist.
+    optional: bool,
+    /// Printed as `== {name}: {measure} against {file} ==`.
+    name: &'static str,
+    measure: &'static str,
+    /// Table columns, the verdict column last.
+    columns: &'static [&'static str],
+    /// Re-measures and compares against the baseline file's text.
+    check: fn(&str) -> Result<Vec<GateRow>, String>,
+}
+
+const GATES: [Gate; 5] = [
+    Gate {
+        flag: "--baseline",
+        default_file: "BENCH_engine.json",
+        optional: false,
+        name: "perf-regression gate",
+        measure: "re-measuring E12",
+        columns: &[
+            "workload",
+            "committed",
+            "measured",
+            "committed_B",
+            "measured_B",
+            "verdict",
+        ],
+        check: e12_gate,
+    },
+    Gate {
+        flag: "--equiv-baseline",
+        default_file: "BENCH_equiv.json",
+        optional: true,
+        name: "equivalence-strategy gate",
+        measure: "re-measuring E17",
+        columns: &[
+            "workload",
+            "strategy",
+            "committed_s/o",
+            "measured_s/o",
+            "committed",
+            "measured",
+            "verdict",
+        ],
+        check: e17_gate,
+    },
+    Gate {
+        flag: "--server-baseline",
+        default_file: "BENCH_server.json",
+        optional: true,
+        name: "server-robustness gate",
+        measure: "smoke-scale E18",
+        columns: &["invariant", "committed", "measured", "verdict"],
+        check: e18_gate,
+    },
+    Gate {
+        flag: "--sat-baseline",
+        default_file: "BENCH_sat.json",
+        optional: true,
+        name: "symbolic-backend gate",
+        measure: "re-measuring E19",
+        columns: &[
+            "workload",
+            "sat_won",
+            "sat_wins",
+            "committed",
+            "measured",
+            "verdict",
+        ],
+        check: e19_gate,
+    },
+    Gate {
+        flag: "--primitives-baseline",
+        default_file: "BENCH_primitives.json",
+        optional: true,
+        name: "surface-primitive gate",
+        measure: "re-measuring E20",
+        columns: &["workload", "committed", "measured", "verdict"],
+        check: e20_gate,
+    },
+];
+
+fn e12_gate(baseline: &str) -> Result<Vec<GateRow>, String> {
     let current: Vec<_> = e12_workloads()
         .iter()
         .map(|(label, exec, mode)| e12_engine_point(label, exec, *mode))
         .collect();
-    let checks = match check_regression_against(&baseline, &current) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("check-regression: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut rows = Vec::new();
-    let mut failed = false;
-    for c in &checks {
-        rows.push(vec![
-            c.workload.clone(),
-            format!("{:.2}x", c.committed_speedup),
-            format!("{:.2}x", c.current_speedup),
-            c.committed_peak_bytes.to_string(),
-            c.current_peak_bytes.to_string(),
-            if c.failures.is_empty() {
-                "ok".into()
-            } else {
-                "FAIL".into()
-            },
-        ]);
-        for f in &c.failures {
-            eprintln!("FAIL {}: {f}", c.workload);
-            failed = true;
-        }
-    }
-    println!(
-        "{}",
-        render(
-            &[
-                "workload",
-                "committed",
-                "measured",
-                "committed_B",
-                "measured_B",
-                "verdict"
+    let checks = check_regression_against(baseline, &current)?;
+    Ok(checks
+        .into_iter()
+        .map(|c| GateRow {
+            cells: vec![
+                c.workload.clone(),
+                format!("{:.2}x", c.committed_speedup),
+                format!("{:.2}x", c.current_speedup),
+                c.committed_peak_bytes.to_string(),
+                c.current_peak_bytes.to_string(),
             ],
-            &rows
-        )
-    );
-    let equiv_baseline_path = match args.iter().position(|a| a == "--equiv-baseline") {
-        None => "BENCH_equiv.json".to_string(),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("check-regression: --equiv-baseline takes a file path");
-                std::process::exit(1);
+            label: c.workload,
+            failures: c.failures,
+        })
+        .collect())
+}
+
+fn e17_gate(baseline: &str) -> Result<Vec<GateRow>, String> {
+    let checks = check_equiv_against(baseline, &e17_rows())?;
+    Ok(checks
+        .into_iter()
+        .map(|c| GateRow {
+            label: format!("{} [{}]", c.workload, c.strategy),
+            cells: vec![
+                c.workload,
+                c.strategy,
+                format!("{:.2}", c.committed_redundancy),
+                format!("{:.2}", c.current_redundancy),
+                format!("{:.2}x", c.committed_speedup),
+                format!("{:.2}x", c.current_speedup),
+            ],
+            failures: c.failures,
+        })
+        .collect())
+}
+
+/// Re-runs the harness at smoke scale and checks *invariants* (nothing
+/// lost, byte parity, total rejection under zero quota, sound
+/// degradation, clean drain), not machine-dependent throughput numbers.
+fn e18_gate(baseline: &str) -> Result<Vec<GateRow>, String> {
+    let checks = check_server_against(baseline, &e18_server_load(&ServerLoadConfig::smoke()))?;
+    Ok(checks
+        .into_iter()
+        .map(|c| GateRow {
+            label: c.invariant.clone(),
+            cells: vec![c.invariant, c.committed, c.current],
+            failures: c.failures,
+        })
+        .collect())
+}
+
+fn e19_gate(baseline: &str) -> Result<Vec<GateRow>, String> {
+    let current: Vec<_> = e19_workloads()
+        .iter()
+        .map(|(label, exec, mode)| e19_sat_point(label, exec, *mode))
+        .collect();
+    let checks = check_sat_against(baseline, &current)?;
+    Ok(checks
+        .into_iter()
+        .map(|c| GateRow {
+            cells: vec![
+                c.workload.clone(),
+                c.committed_sat_wins.to_string(),
+                c.current_sat_wins.to_string(),
+                format!("{:.2}x", c.committed_incremental_speedup),
+                format!("{:.2}x", c.current_incremental_speedup),
+            ],
+            label: c.workload,
+            failures: c.failures,
+        })
+        .collect())
+}
+
+fn e20_gate(baseline: &str) -> Result<Vec<GateRow>, String> {
+    let current: Vec<_> = e20_workloads()
+        .iter()
+        .map(|(label, spec)| e20_point(label, spec))
+        .collect();
+    let checks = check_primitives_against(baseline, &current)?;
+    Ok(checks
+        .into_iter()
+        .map(|c| GateRow {
+            cells: vec![c.workload.clone(), c.committed_shape, c.current_shape],
+            label: c.workload,
+            failures: c.failures,
+        })
+        .collect())
+}
+
+fn die(message: &str) -> ! {
+    eprintln!("check-regression: {message}");
+    std::process::exit(1);
+}
+
+/// The perf-regression gate (CI's `perf-gate` job; also runnable locally).
+/// Runs every gate in [`GATES`] in order. Exits the process: 0 when every
+/// row passes, 1 otherwise.
+fn check_regression(args: &[String]) -> ! {
+    let mut failed = false;
+    let mut gated = 0;
+    for gate in &GATES {
+        let named = args.iter().position(|a| a == gate.flag);
+        let path = match named {
+            None => gate.default_file.to_owned(),
+            Some(i) => match args.get(i + 1) {
+                Some(p) => p.clone(),
+                None => die(&format!("{} takes a file path", gate.flag)),
+            },
+        };
+        let baseline = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(_) if gate.optional && named.is_none() => {
+                println!("(no {path}; skipping the {})", gate.name);
+                continue;
             }
-        },
-    };
-    let mut gated = checks.len();
-    match std::fs::read_to_string(&equiv_baseline_path) {
-        Err(e) => {
-            // The engine gate can run without the equivalence ablation
-            // committed, but an explicitly named baseline must exist.
-            if args.iter().any(|a| a == "--equiv-baseline") {
-                eprintln!("check-regression: reading {equiv_baseline_path}: {e}");
-                std::process::exit(1);
+            Err(e) => die(&format!("reading {path}: {e}")),
+        };
+        println!("== {}: {} against {path} ==", gate.name, gate.measure);
+        let rows = (gate.check)(&baseline).unwrap_or_else(|e| die(&e));
+        let mut table = Vec::new();
+        for row in rows {
+            for f in &row.failures {
+                eprintln!("FAIL {}: {f}", row.label);
+                failed = true;
             }
-            println!("(no {equiv_baseline_path}; skipping the equivalence-strategy gate)");
-        }
-        Ok(baseline) => {
-            println!(
-                "== equivalence-strategy gate: re-measuring E17 against {equiv_baseline_path} =="
-            );
-            let current = e17_rows();
-            let echecks = match check_equiv_against(&baseline, &current) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("check-regression: {e}");
-                    std::process::exit(1);
-                }
+            let verdict = if row.failures.is_empty() {
+                "ok"
+            } else {
+                "FAIL"
             };
-            let mut erows = Vec::new();
-            for c in &echecks {
-                erows.push(vec![
-                    c.workload.clone(),
-                    c.strategy.clone(),
-                    format!("{:.2}", c.committed_redundancy),
-                    format!("{:.2}", c.current_redundancy),
-                    format!("{:.2}x", c.committed_speedup),
-                    format!("{:.2}x", c.current_speedup),
-                    if c.failures.is_empty() {
-                        "ok".into()
-                    } else {
-                        "FAIL".into()
-                    },
-                ]);
-                for f in &c.failures {
-                    eprintln!("FAIL {} [{}]: {f}", c.workload, c.strategy);
-                    failed = true;
-                }
-            }
-            println!(
-                "{}",
-                render(
-                    &[
-                        "workload",
-                        "strategy",
-                        "committed_s/o",
-                        "measured_s/o",
-                        "committed",
-                        "measured",
-                        "verdict"
-                    ],
-                    &erows
-                )
-            );
-            gated += echecks.len();
+            let mut cells = row.cells;
+            cells.push(verdict.into());
+            table.push(cells);
         }
-    }
-    let server_baseline_path = match args.iter().position(|a| a == "--server-baseline") {
-        None => "BENCH_server.json".to_string(),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("check-regression: --server-baseline takes a file path");
-                std::process::exit(1);
-            }
-        },
-    };
-    match std::fs::read_to_string(&server_baseline_path) {
-        Err(e) => {
-            // Same contract as the equivalence gate: optional unless named.
-            if args.iter().any(|a| a == "--server-baseline") {
-                eprintln!("check-regression: reading {server_baseline_path}: {e}");
-                std::process::exit(1);
-            }
-            println!("(no {server_baseline_path}; skipping the server-robustness gate)");
-        }
-        Ok(baseline) => {
-            println!(
-                "== server-robustness gate: smoke-scale E18 against {server_baseline_path} =="
-            );
-            // The gate re-runs the harness at smoke scale and checks
-            // *invariants* (nothing lost, byte parity, total rejection
-            // under zero quota, sound degradation, clean drain) — not
-            // machine-dependent throughput numbers.
-            let current = e18_server_load(&ServerLoadConfig::smoke());
-            let schecks = match check_server_against(&baseline, &current) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("check-regression: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let mut srows = Vec::new();
-            for c in &schecks {
-                srows.push(vec![
-                    c.invariant.clone(),
-                    c.committed.clone(),
-                    c.current.clone(),
-                    if c.failures.is_empty() {
-                        "ok".into()
-                    } else {
-                        "FAIL".into()
-                    },
-                ]);
-                for f in &c.failures {
-                    eprintln!("FAIL {}: {f}", c.invariant);
-                    failed = true;
-                }
-            }
-            println!(
-                "{}",
-                render(&["invariant", "committed", "measured", "verdict"], &srows)
-            );
-            gated += schecks.len();
-        }
-    }
-    let sat_baseline_path = match args.iter().position(|a| a == "--sat-baseline") {
-        None => "BENCH_sat.json".to_string(),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("check-regression: --sat-baseline takes a file path");
-                std::process::exit(1);
-            }
-        },
-    };
-    match std::fs::read_to_string(&sat_baseline_path) {
-        Err(e) => {
-            // Same contract as the equivalence gate: optional unless named.
-            if args.iter().any(|a| a == "--sat-baseline") {
-                eprintln!("check-regression: reading {sat_baseline_path}: {e}");
-                std::process::exit(1);
-            }
-            println!("(no {sat_baseline_path}; skipping the symbolic-backend gate)");
-        }
-        Ok(baseline) => {
-            println!("== symbolic-backend gate: re-measuring E19 against {sat_baseline_path} ==");
-            let current: Vec<_> = e19_workloads()
-                .iter()
-                .map(|(label, exec, mode)| e19_sat_point(label, exec, *mode))
-                .collect();
-            let satchecks = match check_sat_against(&baseline, &current) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("check-regression: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let mut satrows = Vec::new();
-            for c in &satchecks {
-                satrows.push(vec![
-                    c.workload.clone(),
-                    c.committed_sat_wins.to_string(),
-                    c.current_sat_wins.to_string(),
-                    format!("{:.2}x", c.committed_incremental_speedup),
-                    format!("{:.2}x", c.current_incremental_speedup),
-                    if c.failures.is_empty() {
-                        "ok".into()
-                    } else {
-                        "FAIL".into()
-                    },
-                ]);
-                for f in &c.failures {
-                    eprintln!("FAIL {}: {f}", c.workload);
-                    failed = true;
-                }
-            }
-            println!(
-                "{}",
-                render(
-                    &[
-                        "workload",
-                        "sat_won",
-                        "sat_wins",
-                        "committed",
-                        "measured",
-                        "verdict"
-                    ],
-                    &satrows
-                )
-            );
-            gated += satchecks.len();
-        }
-    }
-    let prim_baseline_path = match args.iter().position(|a| a == "--primitives-baseline") {
-        None => "BENCH_primitives.json".to_string(),
-        Some(i) => match args.get(i + 1) {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("check-regression: --primitives-baseline takes a file path");
-                std::process::exit(1);
-            }
-        },
-    };
-    match std::fs::read_to_string(&prim_baseline_path) {
-        Err(e) => {
-            // Same contract as the other optional gates.
-            if args.iter().any(|a| a == "--primitives-baseline") {
-                eprintln!("check-regression: reading {prim_baseline_path}: {e}");
-                std::process::exit(1);
-            }
-            println!("(no {prim_baseline_path}; skipping the surface-primitive gate)");
-        }
-        Ok(baseline) => {
-            println!("== surface-primitive gate: re-measuring E20 against {prim_baseline_path} ==");
-            let current: Vec<_> = e20_workloads()
-                .iter()
-                .map(|(label, spec)| e20_point(label, spec))
-                .collect();
-            let pchecks = match check_primitives_against(&baseline, &current) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("check-regression: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let mut prows = Vec::new();
-            for c in &pchecks {
-                prows.push(vec![
-                    c.workload.clone(),
-                    c.committed_shape.clone(),
-                    c.current_shape.clone(),
-                    if c.failures.is_empty() {
-                        "ok".into()
-                    } else {
-                        "FAIL".into()
-                    },
-                ]);
-                for f in &c.failures {
-                    eprintln!("FAIL {}: {f}", c.workload);
-                    failed = true;
-                }
-            }
-            println!(
-                "{}",
-                render(&["workload", "committed", "measured", "verdict"], &prows)
-            );
-            gated += pchecks.len();
-        }
+        println!("{}", render(gate.columns, &table));
+        gated += table.len();
     }
     if failed {
         eprintln!("perf-regression gate FAILED");

@@ -19,7 +19,7 @@ use crate::api::{EngineOptions, QueryBackend};
 use crate::budget::Budget;
 use crate::ctx::FeasibilityMode;
 use crate::equiv::EquivStrategy;
-use eo_model::json::{self, Value};
+use eo_obs::json::{self, Value};
 
 /// Every analysis knob, in one serializable struct. See the
 /// [module docs](self).
@@ -54,7 +54,7 @@ impl EngineConfig {
     /// Parses the JSON form. Every field is optional; unknown keys are an
     /// error (config typos must fail loudly, not run a default analysis).
     pub fn from_json(v: &Value) -> Result<EngineConfig, String> {
-        let Value::Object(fields) = v else {
+        let Value::Obj(fields) = v else {
             return Err("engine config must be a JSON object".to_owned());
         };
         let mut cfg = EngineConfig::default();
@@ -111,9 +111,9 @@ impl EngineConfig {
     pub fn to_json(&self) -> Value {
         let cap = |c: &Option<u64>| match c {
             None => Value::Null,
-            Some(n) => Value::Int(*n as i64),
+            Some(n) => Value::Num(*n as f64),
         };
-        Value::Object(vec![
+        Value::Obj(vec![
             (
                 "mode".to_owned(),
                 Value::Str(mode_label(self.mode).to_owned()),
@@ -282,16 +282,17 @@ fn cli_num(args: &[String], name: &str) -> Result<Option<u64>, String> {
 }
 
 fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.as_str().map_err(|_| format!("{key} must be a string"))
+    v.as_str().ok_or_else(|| format!("{key} must be a string"))
 }
 
+/// An optional cap: `null`, or a non-negative integer below 2^53 (larger
+/// ones are not exact in the parsed `f64`, so they are rejected, not
+/// rounded).
 fn cap_field(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    match v {
-        Value::Null => Ok(None),
-        _ => match v.as_i64() {
-            Ok(n) if n >= 0 => Ok(Some(n as u64)),
-            _ => Err(format!("{key} must be a non-negative integer or null")),
-        },
+    match (v, v.as_i64()) {
+        (Value::Null, _) => Ok(None),
+        (_, Some(n)) if n >= 0 => Ok(Some(n as u64)),
+        _ => Err(format!("{key} must be a non-negative integer or null")),
     }
 }
 
@@ -385,6 +386,9 @@ mod tests {
         assert!(EngineConfig::from_json_str(r#"{"equivv": "nf"}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"mode": "both"}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"timeout_ms": -1}"#).is_err());
+        assert!(EngineConfig::from_json_str(r#"{"max_states": 1.5}"#).is_err());
+        // 2^53 + 1 would round to 2^53 in an f64: rejected, not rounded.
+        assert!(EngineConfig::from_json_str(r#"{"max_states": 9007199254740993}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"static_prefilter": "yes"}"#).is_err());
         assert!(EngineConfig::from_json_str("[]").is_err());
     }

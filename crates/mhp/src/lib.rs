@@ -131,8 +131,10 @@ impl MhpAnalysis {
     /// Programs using the surface primitives (barriers, mutex/condvar
     /// monitors, bounded channels) are desugared to the semaphore core
     /// first and the fixpoint runs there; verdicts are mapped back to
-    /// surface numbering through the provenance map (see
-    /// [`Self::analyze_surface`] for the mapping rules). Barrier
+    /// surface numbering through the provenance map (`a` is guaranteed
+    /// before `b` exactly when every core statement of `a` is guaranteed
+    /// before every core statement of `b`, and `a` is unreachable exactly
+    /// when its first core statement is). Barrier
     /// awareness falls out of the existing semaphore meet rule: every
     /// handshake `P` in the lowering has exactly one `V` supplier, so the
     /// intersection degenerates to that supplier and the fixpoint derives

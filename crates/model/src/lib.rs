@@ -44,7 +44,6 @@ pub mod execution;
 pub mod fixtures;
 pub mod ids;
 pub mod induce;
-pub mod json;
 pub mod machine;
 pub mod render;
 pub mod trace;

@@ -14,8 +14,8 @@
 
 use crate::event::{Event, Op};
 use crate::ids::{EvVarId, EventId, ProcessId, SemId, VarId};
-use crate::json::{self, JsonError, Value};
 use crate::machine::{Machine, ReplayError};
+use eo_obs::json::{self, Value};
 
 /// Declaration of one process.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -287,34 +287,35 @@ impl Trace {
 
     /// The trace as a JSON tree (field order fixed by the on-disk format).
     pub fn to_value(&self) -> Value {
-        let id = |n: u32| Value::Int(i64::from(n));
-        let ids = |xs: &[VarId]| Value::Array(xs.iter().map(|v| id(v.0)).collect());
-        let procs = |xs: &[ProcessId]| Value::Array(xs.iter().map(|p| id(p.0)).collect());
+        let id = |n: u32| Value::Num(f64::from(n));
+        let ids = |xs: &[VarId]| Value::Arr(xs.iter().map(|v| id(v.0)).collect());
+        let procs = |xs: &[ProcessId]| Value::Arr(xs.iter().map(|p| id(p.0)).collect());
+        let tagged = |tag: &str, payload: Value| Value::Obj(vec![(tag.into(), payload)]);
         let op = |op: &Op| match op {
             Op::Compute => Value::Str("Compute".into()),
-            Op::SemP(s) => Value::Object(vec![("SemP".into(), id(s.0))]),
-            Op::SemV(s) => Value::Object(vec![("SemV".into(), id(s.0))]),
-            Op::Post(v) => Value::Object(vec![("Post".into(), id(v.0))]),
-            Op::Wait(v) => Value::Object(vec![("Wait".into(), id(v.0))]),
-            Op::Clear(v) => Value::Object(vec![("Clear".into(), id(v.0))]),
-            Op::Fork(children) => Value::Object(vec![("Fork".into(), procs(children))]),
-            Op::Join(children) => Value::Object(vec![("Join".into(), procs(children))]),
+            Op::SemP(s) => tagged("SemP", id(s.0)),
+            Op::SemV(s) => tagged("SemV", id(s.0)),
+            Op::Post(v) => tagged("Post", id(v.0)),
+            Op::Wait(v) => tagged("Wait", id(v.0)),
+            Op::Clear(v) => tagged("Clear", id(v.0)),
+            Op::Fork(children) => tagged("Fork", procs(children)),
+            Op::Join(children) => tagged("Join", procs(children)),
         };
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
+        let name = |n: &str| ("name".into(), Value::Str(n.into()));
         let events = self
             .events
             .iter()
             .map(|e| {
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("id".into(), id(e.id.0)),
                     ("process".into(), id(e.process.0)),
                     ("op".into(), op(&e.op)),
                     ("reads".into(), ids(&e.reads)),
                     ("writes".into(), ids(&e.writes)),
-                    ("label".into(), opt_str(&e.label)),
+                    (
+                        "label".into(),
+                        e.label.clone().map_or(Value::Null, Value::Str),
+                    ),
                 ])
             })
             .collect();
@@ -322,14 +323,11 @@ impl Trace {
             .processes
             .iter()
             .map(|p| {
-                Value::Object(vec![
-                    ("name".into(), Value::Str(p.name.clone())),
+                Value::Obj(vec![
+                    name(&p.name),
                     (
                         "created_by".into(),
-                        match p.created_by {
-                            Some(e) => id(e.0),
-                            None => Value::Null,
-                        },
+                        p.created_by.map_or(Value::Null, |e| id(e.0)),
                     ),
                 ])
             })
@@ -337,19 +335,14 @@ impl Trace {
         let semaphores = self
             .semaphores
             .iter()
-            .map(|s| {
-                Value::Object(vec![
-                    ("name".into(), Value::Str(s.name.clone())),
-                    ("initial".into(), id(s.initial)),
-                ])
-            })
+            .map(|s| Value::Obj(vec![name(&s.name), ("initial".into(), id(s.initial))]))
             .collect();
         let event_vars = self
             .event_vars
             .iter()
             .map(|v| {
-                Value::Object(vec![
-                    ("name".into(), Value::Str(v.name.clone())),
+                Value::Obj(vec![
+                    name(&v.name),
                     ("initially_set".into(), Value::Bool(v.initially_set)),
                 ])
             })
@@ -357,118 +350,102 @@ impl Trace {
         let variables = self
             .variables
             .iter()
-            .map(|v| Value::Object(vec![("name".into(), Value::Str(v.name.clone()))]))
+            .map(|v| Value::Obj(vec![name(&v.name)]))
             .collect();
-        Value::Object(vec![
-            ("events".into(), Value::Array(events)),
-            ("processes".into(), Value::Array(processes)),
-            ("semaphores".into(), Value::Array(semaphores)),
-            ("event_vars".into(), Value::Array(event_vars)),
-            ("variables".into(), Value::Array(variables)),
+        Value::Obj(vec![
+            ("events".into(), Value::Arr(events)),
+            ("processes".into(), Value::Arr(processes)),
+            ("semaphores".into(), Value::Arr(semaphores)),
+            ("event_vars".into(), Value::Arr(event_vars)),
+            ("variables".into(), Value::Arr(variables)),
         ])
     }
 
     /// Decodes a trace from a JSON tree (shape errors only — call
-    /// [`Trace::validate`] for the semantic invariants).
-    pub fn from_value(value: &Value) -> Result<Trace, JsonError> {
-        let var_ids = |v: &Value| -> Result<Vec<VarId>, JsonError> {
-            v.as_array()?
-                .iter()
-                .map(|x| Ok(VarId(x.as_u32()?)))
-                .collect()
+    /// [`Trace::validate`] for the semantic invariants). The error names
+    /// the first wrong member, type or number.
+    pub fn from_value(value: &Value) -> Result<Trace, String> {
+        let var_ids = |v: &Value| -> Result<Vec<VarId>, String> {
+            array(v)?.iter().map(|x| Ok(VarId(uint(x)?))).collect()
         };
-        let proc_ids = |v: &Value| -> Result<Vec<ProcessId>, JsonError> {
-            v.as_array()?
-                .iter()
-                .map(|x| Ok(ProcessId(x.as_u32()?)))
-                .collect()
+        let proc_ids = |v: &Value| -> Result<Vec<ProcessId>, String> {
+            array(v)?.iter().map(|x| Ok(ProcessId(uint(x)?))).collect()
         };
-        let decode_op = |v: &Value| -> Result<Op, JsonError> {
-            if let Ok(name) = v.as_str() {
+        let decode_op = |v: &Value| -> Result<Op, String> {
+            if let Some(name) = v.as_str() {
                 return match name {
                     "Compute" => Ok(Op::Compute),
-                    other => Err(JsonError::new(format!("unknown op {other:?}"))),
+                    other => Err(format!("unknown op {other:?}")),
                 };
             }
-            let members = v.as_object()?;
+            let members = v.as_object().ok_or_else(|| expected("object", v))?;
             let [(tag, payload)] = members else {
-                return Err(JsonError::new("op object must have exactly one member"));
+                return Err("op object must have exactly one member".to_owned());
             };
             match tag.as_str() {
-                "SemP" => Ok(Op::SemP(SemId(payload.as_u32()?))),
-                "SemV" => Ok(Op::SemV(SemId(payload.as_u32()?))),
-                "Post" => Ok(Op::Post(EvVarId(payload.as_u32()?))),
-                "Wait" => Ok(Op::Wait(EvVarId(payload.as_u32()?))),
-                "Clear" => Ok(Op::Clear(EvVarId(payload.as_u32()?))),
+                "SemP" => Ok(Op::SemP(SemId(uint(payload)?))),
+                "SemV" => Ok(Op::SemV(SemId(uint(payload)?))),
+                "Post" => Ok(Op::Post(EvVarId(uint(payload)?))),
+                "Wait" => Ok(Op::Wait(EvVarId(uint(payload)?))),
+                "Clear" => Ok(Op::Clear(EvVarId(uint(payload)?))),
                 "Fork" => Ok(Op::Fork(proc_ids(payload)?)),
                 "Join" => Ok(Op::Join(proc_ids(payload)?)),
-                other => Err(JsonError::new(format!("unknown op {other:?}"))),
+                other => Err(format!("unknown op {other:?}")),
             }
         };
-        let events = value
-            .get("events")?
-            .as_array()?
+        let list = |key: &str| array(member(value, key)?);
+        let name = |v: &Value| string(member(v, "name")?).map(str::to_owned);
+        let events = list("events")?
             .iter()
             .map(|e| {
                 Ok(Event {
-                    id: EventId(e.get("id")?.as_u32()?),
-                    process: ProcessId(e.get("process")?.as_u32()?),
-                    op: decode_op(e.get("op")?)?,
-                    reads: var_ids(e.get("reads")?)?,
-                    writes: var_ids(e.get("writes")?)?,
-                    label: match e.get("label")? {
+                    id: EventId(uint(member(e, "id")?)?),
+                    process: ProcessId(uint(member(e, "process")?)?),
+                    op: decode_op(member(e, "op")?)?,
+                    reads: var_ids(member(e, "reads")?)?,
+                    writes: var_ids(member(e, "writes")?)?,
+                    label: match member(e, "label")? {
                         Value::Null => None,
-                        other => Some(other.as_str()?.to_owned()),
+                        other => Some(string(other)?.to_owned()),
                     },
                 })
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let processes = value
-            .get("processes")?
-            .as_array()?
+            .collect::<Result<Vec<_>, String>>()?;
+        let processes = list("processes")?
             .iter()
             .map(|p| {
                 Ok(ProcessDecl {
-                    name: p.get("name")?.as_str()?.to_owned(),
-                    created_by: match p.get("created_by")? {
+                    name: name(p)?,
+                    created_by: match member(p, "created_by")? {
                         Value::Null => None,
-                        other => Some(EventId(other.as_u32()?)),
+                        other => Some(EventId(uint(other)?)),
                     },
                 })
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let semaphores = value
-            .get("semaphores")?
-            .as_array()?
+            .collect::<Result<Vec<_>, String>>()?;
+        let semaphores = list("semaphores")?
             .iter()
             .map(|s| {
                 Ok(SemDecl {
-                    name: s.get("name")?.as_str()?.to_owned(),
-                    initial: s.get("initial")?.as_u32()?,
+                    name: name(s)?,
+                    initial: uint(member(s, "initial")?)?,
                 })
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let event_vars = value
-            .get("event_vars")?
-            .as_array()?
+            .collect::<Result<Vec<_>, String>>()?;
+        let event_vars = list("event_vars")?
             .iter()
             .map(|v| {
+                let flag = member(v, "initially_set")?;
                 Ok(EvVarDecl {
-                    name: v.get("name")?.as_str()?.to_owned(),
-                    initially_set: v.get("initially_set")?.as_bool()?,
+                    name: name(v)?,
+                    initially_set: flag.as_bool().ok_or_else(|| expected("bool", flag))?,
                 })
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let variables = value
-            .get("variables")?
-            .as_array()?
+            .collect::<Result<Vec<_>, String>>()?;
+        let variables = list("variables")?
             .iter()
-            .map(|v| {
-                Ok(VarDecl {
-                    name: v.get("name")?.as_str()?.to_owned(),
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
+            .map(|v| Ok(VarDecl { name: name(v)? }))
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Trace {
             events,
             processes,
@@ -476,6 +453,37 @@ impl Trace {
             event_vars,
             variables,
         })
+    }
+}
+
+fn expected(what: &str, got: &Value) -> String {
+    format!("expected {what}, got {}", got.kind())
+}
+
+/// A required object member.
+fn member<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
+    match v {
+        Value::Obj(_) => v.get(key).ok_or_else(|| format!("missing member {key:?}")),
+        other => Err(expected("object", other)),
+    }
+}
+
+fn array(v: &Value) -> Result<&[Value], String> {
+    v.as_array().ok_or_else(|| expected("array", v))
+}
+
+fn string(v: &Value) -> Result<&str, String> {
+    v.as_str().ok_or_else(|| expected("string", v))
+}
+
+/// An id or counter: an integer in `u32` range (the trace format's width).
+fn uint(v: &Value) -> Result<u32, String> {
+    match v {
+        Value::Num(_) => v
+            .as_i64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| "number out of u32 range".to_owned()),
+        other => Err(expected("number", other)),
     }
 }
 

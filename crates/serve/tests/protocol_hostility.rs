@@ -38,7 +38,7 @@ impl Lcg {
 
 fn figure1_json() -> String {
     let (trace, _) = fixtures::figure1();
-    trace.to_value().pretty()
+    trace.to_json()
 }
 
 fn status_of(doc: &str) -> String {
@@ -53,7 +53,7 @@ fn status_of(doc: &str) -> String {
 /// Hostile *line* payloads for the NDJSON batch path: each is one input
 /// line that must produce exactly one `status: "error"` response.
 fn hostile_line(rng: &mut Lcg) -> String {
-    match rng.pick(7) {
+    match rng.pick(8) {
         0 => "this is not json at all".to_owned(),
         1 => r#"{"id": 1, "op": "mhb""#.to_owned(), // truncated JSON
         2 => r#"{"id": [1,2], "op": 42}"#.to_owned(), // wrong types
@@ -64,6 +64,7 @@ fn hostile_line(rng: &mut Lcg) -> String {
         4 => format!("{{\"junk\": \"{}\"}}", "x".repeat(64 * 1024)), // huge but valid JSON, no op
         5 => r#"{"id": 7, "op": "frobnicate"}"#.to_owned(),          // unknown op
         6 => "\u{1}\u{2}\u{3}garbage\u{7f}".to_owned(),              // control chars
+        7 => "[".repeat(100_000), // nesting past the parser's depth bound
         _ => unreachable!(),
     }
 }
@@ -228,6 +229,41 @@ fn the_tcp_server_survives_a_hostile_frame_storm_and_still_answers() {
     let report = join.join().expect("server thread");
     assert!(report.drained_clean, "drain stays clean under hostility");
     assert_eq!(report.shed, 0, "a reading client suffers no shedding");
+}
+
+#[test]
+fn max_frame_sized_frames_get_one_answer_and_do_not_stall_the_reactor() {
+    let config = ServerConfig {
+        read_timeout: Duration::from_secs(10),
+        write_timeout: Duration::from_secs(10),
+        drain_deadline: Duration::from_secs(5),
+        ..Default::default()
+    };
+    let max_frame = config.max_frame;
+    let (addr, handle, join) = start(config);
+    let mut client =
+        NetClient::connect_with_timeout(addr, Duration::from_secs(10)).expect("connect");
+
+    // A frame of nothing but `[` (deeper than the parser's bound), and a
+    // frame holding one max_frame-sized string (a quadratic string scan
+    // would hold the single reactor thread for minutes). Each is owed one
+    // error, and the ping behind them is answered within the read timeout.
+    let one_string = format!("\"{}\"", "x".repeat(max_frame - 2));
+    for payload in ["[".repeat(max_frame), one_string] {
+        assert_eq!(payload.len(), max_frame);
+        client.send(&payload).expect("send max_frame-sized frame");
+        let answer = client.recv().expect("answer to the big frame");
+        assert_eq!(status_of(&answer), "error", "{answer}");
+        let pong = client
+            .request(r#"{"id": "after", "op": "ping"}"#)
+            .expect("ping after the big frame");
+        assert_eq!(status_of(&pong), "ok");
+    }
+
+    drop(client);
+    handle.drain();
+    let report = join.join().expect("server thread");
+    assert!(report.drained_clean);
 }
 
 #[test]

@@ -732,7 +732,7 @@ fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a Stri
 
 fn lint(args: &[String]) -> ExitCode {
     use eo_lint::{lint_program, lint_trace, LintOptions, LintReport, Severity};
-    use eo_model::json::Value;
+    use eo_obs::json::Value;
 
     let json = args.iter().any(|a| a == "--json");
     let deny = match args.iter().position(|a| a == "--deny") {
@@ -886,19 +886,23 @@ fn lint(args: &[String]) -> ExitCode {
         let files: Vec<Value> = reports
             .iter()
             .map(|(path, report)| {
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("path".to_string(), Value::Str((*path).clone())),
                     ("report".to_string(), report.to_json()),
                 ])
             })
             .collect();
-        let count = |sev| -> i64 { reports.iter().map(|(_, r)| r.count(sev) as i64).sum() };
-        let doc = Value::Object(vec![
-            ("schema_version".to_string(), Value::Int(SCHEMA_VERSION)),
-            ("files".to_string(), Value::Array(files)),
-            ("errors".to_string(), Value::Int(count(Severity::Error))),
-            ("warnings".to_string(), Value::Int(count(Severity::Warning))),
-            ("infos".to_string(), Value::Int(count(Severity::Info))),
+        let count =
+            |sev| Value::Num(reports.iter().map(|(_, r)| r.count(sev)).sum::<usize>() as f64);
+        let doc = Value::Obj(vec![
+            (
+                "schema_version".to_string(),
+                Value::Num(SCHEMA_VERSION as f64),
+            ),
+            ("files".to_string(), Value::Arr(files)),
+            ("errors".to_string(), count(Severity::Error)),
+            ("warnings".to_string(), count(Severity::Warning)),
+            ("infos".to_string(), count(Severity::Info)),
         ]);
         println!("{}", doc.pretty());
     } else {
@@ -932,7 +936,7 @@ fn lint(args: &[String]) -> ExitCode {
 }
 
 fn mhp(args: &[String]) -> ExitCode {
-    use eo_model::json::Value;
+    use eo_obs::json::Value;
 
     let json = args.iter().any(|a| a == "--json");
     let obs = match str_flag(args, "--metrics-out") {
@@ -992,7 +996,7 @@ fn mhp(args: &[String]) -> ExitCode {
     obs.flush();
 
     let n = analysis.n_stmts();
-    let (mut never, mut may, mut unreachable_pairs) = (0i64, 0i64, 0i64);
+    let (mut never, mut may, mut unreachable_pairs) = (0usize, 0usize, 0usize);
     for a in 0..n {
         for b in (a + 1)..n {
             use eo_mhp::Verdict;
@@ -1008,36 +1012,42 @@ fn mhp(args: &[String]) -> ExitCode {
     let loc = |s: eo_mhp::StmtId| analysis.stmts()[s.index()].location.clone();
 
     if json {
-        let doc = Value::Object(vec![
-            ("schema_version".to_string(), Value::Int(SCHEMA_VERSION)),
-            ("stmts".to_string(), Value::Int(n as i64)),
-            ("rounds".to_string(), Value::Int(analysis.rounds() as i64)),
+        let doc = Value::Obj(vec![
+            (
+                "schema_version".to_string(),
+                Value::Num(SCHEMA_VERSION as f64),
+            ),
+            ("stmts".to_string(), Value::Num(n as f64)),
+            ("rounds".to_string(), Value::Num(analysis.rounds() as f64)),
             (
                 "unreachable".to_string(),
-                Value::Array(
+                Value::Arr(
                     unreachable
                         .iter()
-                        .map(|s| Value::Int(s.index() as i64))
+                        .map(|s| Value::Num(s.index() as f64))
                         .collect(),
                 ),
             ),
             (
                 "pairs".to_string(),
-                Value::Object(vec![
-                    ("never_concurrent".to_string(), Value::Int(never)),
-                    ("may_be_concurrent".to_string(), Value::Int(may)),
-                    ("unreachable".to_string(), Value::Int(unreachable_pairs)),
+                Value::Obj(vec![
+                    ("never_concurrent".to_string(), Value::Num(never as f64)),
+                    ("may_be_concurrent".to_string(), Value::Num(may as f64)),
+                    (
+                        "unreachable".to_string(),
+                        Value::Num(unreachable_pairs as f64),
+                    ),
                 ]),
             ),
             (
                 "may_races".to_string(),
-                Value::Array(
+                Value::Arr(
                     races
                         .iter()
                         .map(|r| {
-                            Value::Object(vec![
-                                ("first".to_string(), Value::Int(r.first.index() as i64)),
-                                ("second".to_string(), Value::Int(r.second.index() as i64)),
+                            Value::Obj(vec![
+                                ("first".to_string(), Value::Num(r.first.index() as f64)),
+                                ("second".to_string(), Value::Num(r.second.index() as f64)),
                                 ("first_loc".to_string(), Value::Str(loc(r.first))),
                                 ("second_loc".to_string(), Value::Str(loc(r.second))),
                             ])

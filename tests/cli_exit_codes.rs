@@ -232,3 +232,47 @@ fn usage_errors_exit_one() {
     );
     assert_eq!(eo(&["frobnicate"]).status.code(), Some(1));
 }
+
+#[test]
+fn deeply_nested_input_is_an_input_error_not_a_crash() {
+    // 100,000 open brackets: far past the parser's nesting bound, and deep
+    // enough to overflow the stack of an unbounded recursive parser.
+    let deep = "[".repeat(100_000);
+    let path = tmp("deep.trace.json");
+    std::fs::write(&path, &deep).expect("writing deep trace");
+    let path_str = path.to_str().unwrap();
+    let out = eo(&["analyze", path_str]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("parsing {path_str}: JSON parse error at byte 128")),
+        "stderr: {stderr}"
+    );
+    assert_eq!(eo(&["serve", path_str]).status.code(), Some(1));
+    std::fs::remove_file(&path).ok();
+
+    // The same line on `eo serve`'s request stream is one malformed
+    // request: one positioned error response, exit 2.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_eo"))
+        .args(["serve", FIGURE1])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawning eo serve");
+    {
+        use std::io::Write as _;
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        writeln!(stdin, "{deep}").expect("writing request line");
+    }
+    let out = child.wait_with_output().expect("eo serve exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(stdout.lines().count(), 1, "stdout: {stdout}");
+    assert!(stdout.contains("nesting too deep"), "stdout: {stdout}");
+}
