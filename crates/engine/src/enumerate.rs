@@ -34,11 +34,37 @@
 //! full matrices retained as a collision oracle under
 //! `debug_assertions` — so the result is F(P) itself (up to the
 //! documented canonical extraction), not a multiset of schedules.
+//!
+//! # Hot path
+//!
+//! All variants run one DFS (`Enumerator::explore`) that allocates
+//! nothing in steady state:
+//!
+//! * the base edges (program order, fork/join, effective →D) are built
+//!   once per enumeration;
+//! * every step drives [`ScanState::apply`]/[`ScanState::undo`], so the
+//!   pairing edges of the current path sit on one edge stack;
+//! * a complete schedule's order is closed from base ∪ pairing edges into
+//!   one reused scratch relation by a single reverse sweep over the
+//!   schedule ([`closure::close_along_topological_order`]) — the schedule
+//!   is a topological order of every edge it induces, so no Kahn pass is
+//!   needed. The scratch is fingerprinted and cloned only when its order
+//!   is new; the closed-relation search records its top-of-path relation
+//!   the same way;
+//! * machine states, sleep sets and the closed-relation search's
+//!   relations live in per-depth buffers overwritten with `clone_from`.
+//!
+//! Debug builds check every recorded order against
+//! [`SearchCtx::induced_order`] (the reference extraction of
+//! [`eo_model::induce`]); `tests/differential.rs` checks the same in
+//! release builds.
 
 use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
-use crate::equiv::{closed_hash, closed_insert, combine_key, CanonMode, EquivStrategy, ScanState};
+use crate::equiv::{
+    closed_hash, closed_insert, combine_key, CanonMode, EquivStrategy, ScanState, ScanUndo,
+};
 use eo_model::{EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashSet;
 use eo_relations::{closure, BitSet, Relation};
@@ -122,20 +148,34 @@ struct Enumerator<'c, 'a> {
     /// Recycled co-enabled buffers, one per active recursion depth — the
     /// search allocates no per-state vectors in steady state.
     enabled_pool: Vec<Vec<(ProcessId, EventId)>>,
-    // --- canonical-search state (engaged iff `canon.is_some()`) ---
+    /// Machine state at each depth of the current path: `states[d]` is
+    /// the state after `schedule[..d]`. A child overwrites `states[d + 1]`
+    /// by `clone_from` + step, so the DFS allocates no states.
+    states: Vec<MachState>,
+    /// Sleep set at each depth (sleep-set search only): entered as the
+    /// parent's set filtered by the executed event, then grown with each
+    /// explored sibling.
+    sleeps: Vec<BitSet>,
     /// Incremental induced-edge scan mirrored along the DFS path.
-    scan: Option<ScanState>,
+    scan: ScanState,
+    /// Pairing edges emitted along the current path (a stack; each depth
+    /// remembers its start index). At a complete schedule these plus
+    /// `base` are exactly the schedule's induced edges.
+    edge_stack: Vec<(EventId, EventId)>,
+    /// The schedule-independent edges (program order, fork/join, the
+    /// effective →D), built once per enumeration.
+    base: Relation,
+    /// Scratch relation each complete schedule's order is closed into.
+    leaf: Relation,
+    /// Scratch row for the leaf closure and for `closed_insert`.
+    row_scratch: BitSet,
+    // --- canonical-search state (engaged iff `canon.is_some()`) ---
     /// Canonical nodes already fully explored (or currently on the DFS
     /// path, which cannot recur — progress strictly increases).
     visited: FxHashSet<u128>,
-    /// Pairing edges emitted along the current path (a stack; each depth
-    /// remembers its start index).
-    edge_stack: Vec<(EventId, EventId)>,
     /// For [`CanonMode::ClosedRelation`]: the closed induced relation at
-    /// each depth of the current path (top = current prefix).
-    closed_stack: Vec<Relation>,
-    /// Scratch successor row for `closed_insert`.
-    row_scratch: BitSet,
+    /// each depth of the current path (`closed[d]` after `schedule[..d]`).
+    closed: Vec<Relation>,
 }
 
 impl Enumerator<'_, '_> {
@@ -150,35 +190,58 @@ impl Enumerator<'_, '_> {
         self.schedules_explored += 1;
         let order = match self.canon {
             // The closed-relation search already maintains exactly
-            // cl(base ∪ pairing edges) — the induced order — so recording
-            // is a clone, not a recomputation.
-            Some(CanonMode::ClosedRelation) => {
-                let top = self.closed_stack.last().expect("closure stack seeded");
-                debug_assert_eq!(
-                    *top,
-                    self.ctx.induced_order(&self.schedule),
-                    "incrementally closed relation diverged from the induce scan"
+            // cl(base ∪ pairing edges) — the induced order.
+            Some(CanonMode::ClosedRelation) => &self.closed[self.schedule.len()],
+            // The schedule is a topological order of every edge it
+            // induces, so one reverse sweep over it closes base ∪ pairing
+            // edges — no Kahn pass, no allocation.
+            _ => {
+                self.leaf.clone_from(&self.base);
+                for &(a, b) in &self.edge_stack {
+                    self.leaf.insert(a.index(), b.index());
+                }
+                closure::close_along_topological_order(
+                    &mut self.leaf,
+                    self.schedule.iter().map(|e| e.index()),
+                    &mut self.row_scratch,
                 );
-                top.clone()
+                &self.leaf
             }
-            _ => self.ctx.induced_order(&self.schedule),
         };
-        if self.seen.insert(&order) {
-            self.orders.push(order);
+        debug_assert_eq!(
+            *order,
+            self.ctx.induced_order(&self.schedule),
+            "incrementally induced order diverged from the induce scan"
+        );
+        // Fingerprint the scratch; clone it only when the order is new.
+        if self.seen.insert(order) {
+            self.orders.push(order.clone());
         }
     }
 
     fn heap_estimate(&self) -> usize {
         let memo = self.visited.len() * 2 * std::mem::size_of::<u128>();
-        let closure = self.closed_stack.first().map_or(0, |r| {
-            self.closed_stack.len() * (r.len() * r.len() / 8 + 64)
+        // The closed relations live on the current path only.
+        let closure = self.closed.first().map_or(0, |r| {
+            (self.schedule.len() + 1) * (r.len() * r.len() / 8 + 64)
         });
         self.orders.len() * self.order_bytes + memo + closure
     }
 
-    /// Sleep-set / naive schedule DFS (the Mazurkiewicz baseline and the
-    /// oracle).
-    fn explore(&mut self, st: &MachState, sleep: &BitSet) {
+    /// The schedule DFS behind every strategy, at `depth` =
+    /// `schedule.len()` with state `states[depth]`.
+    ///
+    /// * Sleep-set search (Mazurkiewicz): after exploring `e`, `e` sleeps
+    ///   for the later siblings, and stays asleep below them until a
+    ///   statically dependent event executes.
+    /// * Canonical search (normal-form/grain): no sleep sets (unsound
+    ///   under memoization); instead, a node reached a second time — same
+    ///   future-relevant machine/scan state and same ordering content — is
+    ///   pruned wholesale. Children are tried in event-index order, so
+    ///   the surviving representative of every canonical node is the
+    ///   lexicographically least path to it.
+    /// * The naive oracle prunes nothing.
+    fn explore(&mut self, depth: usize) {
         if self.truncated || self.stopped.is_some() {
             return;
         }
@@ -186,105 +249,82 @@ impl Enumerator<'_, '_> {
             self.stopped = Some(e);
             return;
         }
-        if self.ctx.is_complete(st) {
+        if let Some(mode) = self.canon {
+            let ordering_hash = match mode {
+                CanonMode::PairingHistory => self.scan.edge_hash(),
+                CanonMode::ClosedRelation => closed_hash(&self.closed[depth]),
+            };
+            let key = combine_key(self.scan.state_key(&self.states[depth]), ordering_hash);
+            if !self.visited.insert(key) {
+                self.pruned_branches += 1;
+                return;
+            }
+        }
+        if self.ctx.is_complete(&self.states[depth]) {
             self.record();
             return;
         }
         let mut enabled = self.enabled_pool.pop().unwrap_or_default();
-        self.ctx.co_enabled_into(st, &mut enabled);
-        let mut local_sleep = sleep.clone();
+        self.ctx.co_enabled_into(&self.states[depth], &mut enabled);
         for &(p, e) in &enabled {
-            if self.use_sleep && local_sleep.contains(e.index()) {
-                self.pruned_branches += 1;
-                continue;
-            }
-            let mut st2 = st.clone();
-            self.ctx.step(&mut st2, p);
-            // Events stay asleep only while independent of what executes.
-            let mut child_sleep = BitSet::new(local_sleep.capacity());
             if self.use_sleep {
-                for s in local_sleep.iter() {
+                if self.sleeps[depth].contains(e.index()) {
+                    self.pruned_branches += 1;
+                    continue;
+                }
+                // Events stay asleep only while independent of what
+                // executes.
+                let (here, below) = self.sleeps.split_at_mut(depth + 1);
+                let child = &mut below[0];
+                child.clear();
+                for s in here[depth].iter() {
                     if !self.ctx.statically_dependent(EventId::new(s), e) {
-                        child_sleep.insert(s);
+                        child.insert(s);
                     }
                 }
             }
-            self.schedule.push(e);
-            self.explore(&st2, &child_sleep);
-            self.schedule.pop();
+            let (mark, undo) = self.push_step(depth, p, e);
+            self.explore(depth + 1);
+            self.pop_step(mark, undo);
             if self.truncated || self.stopped.is_some() {
                 break;
             }
             if self.use_sleep {
-                local_sleep.insert(e.index());
+                self.sleeps[depth].insert(e.index());
             }
         }
         self.enabled_pool.push(enabled);
     }
 
-    /// Memoized quotient-graph DFS for the canonical strategies. No sleep
-    /// sets (unsound under memoization); instead, a node reached a second
-    /// time — same future-relevant machine/scan state and same ordering
-    /// content — is pruned wholesale. Children are tried in event-index
-    /// order, so the surviving representative of every canonical node is
-    /// the lexicographically least path to it.
-    fn explore_canon(&mut self, st: &MachState, mode: CanonMode) {
-        if self.truncated || self.stopped.is_some() {
-            return;
-        }
-        if let Err(e) = self.budget.check(self.heap_estimate()) {
-            self.stopped = Some(e);
-            return;
-        }
-        let scan = self.scan.as_ref().expect("canonical search seeds the scan");
-        let ordering_hash = match mode {
-            CanonMode::PairingHistory => scan.edge_hash(),
-            CanonMode::ClosedRelation => {
-                closed_hash(self.closed_stack.last().expect("closure stack seeded"))
-            }
-        };
-        let key = combine_key(scan.state_key(st), ordering_hash);
-        if !self.visited.insert(key) {
-            self.pruned_branches += 1;
-            return;
-        }
-        if self.ctx.is_complete(st) {
-            self.record();
-            return;
-        }
-        let mut enabled = self.enabled_pool.pop().unwrap_or_default();
-        self.ctx.co_enabled_into(st, &mut enabled);
-        for &(p, e) in &enabled {
-            let mut st2 = st.clone();
-            self.ctx.step(&mut st2, p);
-            let mark = self.edge_stack.len();
-            let undo =
-                self.scan
-                    .as_mut()
-                    .unwrap()
-                    .apply(self.ctx.exec().trace(), e, &mut self.edge_stack);
-            if mode == CanonMode::ClosedRelation {
-                let mut next = self.closed_stack.last().expect("seeded").clone();
-                for i in mark..self.edge_stack.len() {
-                    let (a, b) = self.edge_stack[i];
-                    closed_insert(&mut next, a.index(), b.index(), &mut self.row_scratch);
-                }
-                self.closed_stack.push(next);
-            }
-            self.schedule.push(e);
-            self.explore_canon(&st2, mode);
-            self.schedule.pop();
-            if mode == CanonMode::ClosedRelation {
-                self.closed_stack.pop();
-            }
-            let tail = &self.edge_stack[mark..];
-            self.scan.as_mut().unwrap().undo(undo, tail);
-            self.edge_stack.truncate(mark);
-            if self.truncated || self.stopped.is_some() {
-                break;
+    /// Extends the path at `depth` by `p`'s next event `e`: the machine
+    /// state, the pairing edges (and, for the closed-relation search, the
+    /// closed relation) of depth `depth + 1`, and the schedule. Returns
+    /// what [`Enumerator::pop_step`] needs to undo it.
+    fn push_step(&mut self, depth: usize, p: ProcessId, e: EventId) -> (usize, ScanUndo) {
+        let (here, below) = self.states.split_at_mut(depth + 1);
+        below[0].clone_from(&here[depth]);
+        self.ctx.step(&mut below[0], p);
+        let mark = self.edge_stack.len();
+        let undo = self
+            .scan
+            .apply(self.ctx.exec().trace(), e, &mut self.edge_stack);
+        if self.canon == Some(CanonMode::ClosedRelation) {
+            let (here, below) = self.closed.split_at_mut(depth + 1);
+            let next = &mut below[0];
+            next.clone_from(&here[depth]);
+            for &(a, b) in &self.edge_stack[mark..] {
+                closed_insert(next, a.index(), b.index(), &mut self.row_scratch);
             }
         }
-        self.enabled_pool.push(enabled);
+        self.schedule.push(e);
+        (mark, undo)
+    }
+
+    /// Undoes the matching [`Enumerator::push_step`].
+    fn pop_step(&mut self, mark: usize, undo: ScanUndo) {
+        self.schedule.pop();
+        self.scan.undo(undo, &self.edge_stack[mark..]);
+        self.edge_stack.truncate(mark);
     }
 }
 
@@ -310,6 +350,16 @@ fn run(
         None
     };
     let use_sleep = config.prune && equiv.sleep_sets();
+    let trace = ctx.exec().trace();
+    let base = eo_model::induce::base_edges(trace, &ctx.effective_d());
+    let closed = match canon {
+        Some(CanonMode::ClosedRelation) => {
+            let closed =
+                closure::dfs_closure(&base).expect("base edges of a valid execution form a DAG");
+            vec![closed; n + 1]
+        }
+        _ => Vec::new(),
+    };
     let mut en = Enumerator {
         ctx,
         max_schedules: budget.max_schedules().unwrap_or(usize::MAX),
@@ -327,28 +377,21 @@ fn run(
         // closed n×n bit matrix plus container overhead.
         order_bytes: (n * n).div_ceil(8) + 64 + 2 * std::mem::size_of::<u128>(),
         enabled_pool: Vec::new(),
-        scan: canon.map(|_| ScanState::new(ctx.exec().trace())),
-        visited: FxHashSet::default(),
+        states: vec![ctx.initial_state(); n + 1],
+        sleeps: if use_sleep {
+            vec![BitSet::new(n); n + 1]
+        } else {
+            Vec::new()
+        },
+        scan: ScanState::new(trace),
         edge_stack: Vec::new(),
-        closed_stack: Vec::new(),
+        leaf: Relation::new(n),
+        base,
         row_scratch: BitSet::new(n),
+        visited: FxHashSet::default(),
+        closed,
     };
-    let st = ctx.initial_state();
-    match canon {
-        Some(mode) => {
-            if mode == CanonMode::ClosedRelation {
-                let base = eo_model::induce::base_edges(ctx.exec().trace(), &ctx.effective_d());
-                let closed = closure::dfs_closure(&base)
-                    .expect("base edges of a valid execution form a DAG");
-                en.closed_stack.push(closed);
-            }
-            en.explore_canon(&st, mode);
-        }
-        None => {
-            let sleep = BitSet::new(n);
-            en.explore(&st, &sleep);
-        }
-    }
+    en.explore(0);
     // Once per enumeration, never per DFS step: the ≤2% overhead budget
     // rules out probes inside the search itself.
     eo_obs::counter!("engine.schedules", en.schedules_explored as u64);

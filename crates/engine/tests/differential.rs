@@ -13,13 +13,23 @@
 //! coarsely `normal-form` and `grain` quotient the schedule space, the
 //! set of induced orders — and every summary relation built from it —
 //! must be bit-identical to the sleep-set Mazurkiewicz baseline.
+//!
+//! And it covers how the enumerator closes each complete schedule's
+//! order (pairing edges kept along the DFS, one reverse sweep over the
+//! schedule): in every build profile — the enumerator's own
+//! `debug_assert` oracle is compiled out of release builds — its order
+//! sets must equal `eo_model::induce::induced_order` over every schedule
+//! of the unpruned search.
 
 use eo_engine::{enumerate_classes, enumerate_classes_with, explore_statespace_parallel_budgeted};
+use eo_engine::{enumerate_naive, EnumerationResult};
 use eo_engine::{
     explore_statespace_baseline, explore_statespace_budgeted, Budget, EquivStrategy, ExactEngine,
     FeasibilityMode, OrderingSummary, QuerySession, SearchCtx, StateSpaceResult,
 };
-use eo_model::{EventId, ProgramExecution};
+use eo_model::{EventId, MachState, ProgramExecution};
+use eo_relations::Relation;
+use std::collections::BTreeSet;
 
 const BUDGET: usize = 1 << 22;
 
@@ -272,5 +282,96 @@ fn e6_scaling_workloads_bit_identical() {
         let exec = generate_trace(&spec, 100).to_execution().unwrap();
         assert_explorers_agree(&exec, FeasibilityMode::PreserveDependences);
         assert_strategies_agree(&exec, FeasibilityMode::PreserveDependences);
+    }
+}
+
+/// Every schedule the unpruned search visits — each interleaving of
+/// co-enabled events — with its order taken by the reference extraction
+/// `induce::induced_order`, which shares none of the enumerator's
+/// incremental edge and closure code. Returns the distinct orders (as
+/// sorted pair lists) and the schedule count.
+fn reference_orders(ctx: &SearchCtx<'_>) -> (BTreeSet<Vec<(usize, usize)>>, usize) {
+    fn walk(
+        ctx: &SearchCtx<'_>,
+        d: &Relation,
+        st: &MachState,
+        schedule: &mut Vec<EventId>,
+        out: &mut (BTreeSet<Vec<(usize, usize)>>, usize),
+    ) {
+        if ctx.is_complete(st) {
+            let order = eo_model::induce::induced_order(ctx.exec().trace(), d, schedule);
+            out.0.insert(order.pairs().collect());
+            out.1 += 1;
+            return;
+        }
+        for (p, e) in ctx.co_enabled(st) {
+            let mut next = st.clone();
+            ctx.step(&mut next, p);
+            schedule.push(e);
+            walk(ctx, d, &next, schedule, out);
+            schedule.pop();
+        }
+    }
+    let mut out = (BTreeSet::new(), 0);
+    let d = ctx.effective_d();
+    walk(ctx, &d, &ctx.initial_state(), &mut Vec::new(), &mut out);
+    out
+}
+
+fn order_set(r: &EnumerationResult) -> BTreeSet<Vec<(usize, usize)>> {
+    r.orders.iter().map(|o| o.pairs().collect()).collect()
+}
+
+/// The enumerator's order set under every strategy (and the unpruned
+/// search) equals the reference orders of every unpruned schedule.
+fn assert_leaf_closure_matches_reference(exec: &ProgramExecution, mode: FeasibilityMode) {
+    let ctx = SearchCtx::new(exec, mode);
+    let (reference, schedules) = reference_orders(&ctx);
+    let naive = enumerate_naive(&ctx, 1 << 20);
+    assert!(!naive.truncated, "differential workloads must not truncate");
+    assert_eq!(naive.schedules_explored, schedules, "naive schedule count");
+    assert_eq!(
+        naive.orders.len(),
+        reference.len(),
+        "naive: duplicate orders"
+    );
+    assert_eq!(order_set(&naive), reference, "naive: F(P) differs");
+    for strategy in EquivStrategy::ALL {
+        let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
+        assert!(!r.truncated, "{strategy}");
+        assert_eq!(
+            r.orders.len(),
+            reference.len(),
+            "{strategy}: duplicate orders"
+        );
+        assert_eq!(order_set(&r), reference, "{strategy}: F(P) differs");
+    }
+}
+
+#[test]
+fn leaf_closure_matches_reference_induced_orders() {
+    use eo_lang::generator::{generate_trace, WorkloadSpec};
+    let mut execs: Vec<ProgramExecution> = fixture_traces()
+        .iter()
+        .map(|t| t.to_execution().unwrap())
+        .collect();
+    execs.extend((1..=4).map(pitfall_exec));
+    for seed in 0..4 {
+        // The E9 random semaphore family, and Post/Wait/Clear programs
+        // (Clear placement edges are the subtlest pairing edges).
+        let mut spec = WorkloadSpec::small_semaphore(seed);
+        spec.variables = 3;
+        spec.write_fraction = 0.5;
+        execs.push(generate_trace(&spec, 100).to_execution().unwrap());
+        let events = WorkloadSpec::small_events(seed);
+        execs.push(generate_trace(&events, 100).to_execution().unwrap());
+    }
+    for exec in &execs {
+        for mode in [
+            FeasibilityMode::PreserveDependences,
+            FeasibilityMode::IgnoreDependences,
+        ] {
+            assert_leaf_closure_matches_reference(exec, mode);
+        }
     }
 }

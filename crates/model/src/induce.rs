@@ -44,16 +44,16 @@ use eo_relations::{closure, Relation};
 pub fn base_edges(trace: &Trace, d: &Relation) -> Relation {
     let n = trace.n_events();
     let mut rel = Relation::new(n);
+    let per_process = trace.per_process();
 
     // Program order (immediate edges; closure restores the rest).
-    for list in trace.per_process() {
+    for list in &per_process {
         for pair in list.windows(2) {
             rel.insert(pair[0].index(), pair[1].index());
         }
     }
 
     // Fork and join edges.
-    let per_process = trace.per_process();
     for e in &trace.events {
         match &e.op {
             Op::Fork(children) => {

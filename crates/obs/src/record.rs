@@ -6,13 +6,15 @@
 //!   entry point below is an empty `#[inline(always)]` function and
 //!   [`SpanGuard`] is a unit type with no `Drop` impl, so instrumented code
 //!   compiles to exactly what it would be with the probes deleted.
-//! - **Lock-free recording.** With the feature on, events go into a
-//!   thread-local `Vec` — no atomics or locks on the hot path beyond one
-//!   relaxed load of the global "recording" flag. Buffers are flushed into a
-//!   global sink when a thread exits (the engine's worker pool uses scoped
-//!   threads, so workers flush before results are returned) and the calling
-//!   thread is flushed explicitly by [`finish`].
-//! - **Run-scoped.** [`start`] clears the sink and arms recording;
+//! - **Uncontended recording.** With the feature on, events go into the
+//!   recording thread's own buffer: one relaxed load of the global
+//!   "recording" flag, then an uncontended lock of a mutex that only
+//!   [`start`] and [`finish`] ever contend. Each buffer is registered
+//!   globally when its thread first records, and [`finish`] drains every
+//!   registered buffer itself — so a worker's events are seen as soon as
+//!   the worker has returned, even when `thread::scope` returns before the
+//!   worker's thread-local destructors have run.
+//! - **Run-scoped.** [`start`] clears every buffer and arms recording;
 //!   [`finish`] disarms it and returns everything recorded in between.
 
 /// One raw event as recorded on some thread, in program order.
@@ -79,43 +81,36 @@ pub struct RunData {
 #[cfg(feature = "enabled")]
 mod imp {
     use super::{Event, ThreadLog};
-    use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
 
     pub(super) static RECORDING: AtomicBool = AtomicBool::new(false);
     static NEXT_TID: AtomicU64 = AtomicU64::new(0);
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static SINK: Mutex<Vec<ThreadLog>> = Mutex::new(Vec::new());
+    /// Every thread's buffer, from its first recorded event until the
+    /// first run boundary after the thread exits.
+    static REGISTRY: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
 
-    struct LocalBuf {
+    struct ThreadBuf {
         tid: u64,
-        events: Vec<Event>,
-    }
-
-    impl Drop for LocalBuf {
-        fn drop(&mut self) {
-            flush_into_sink(self.tid, &mut self.events);
-        }
-    }
-
-    fn flush_into_sink(tid: u64, events: &mut Vec<Event>) {
-        if events.is_empty() {
-            return;
-        }
-        let events = std::mem::take(events);
-        // A poisoned sink only loses telemetry, never affects the engine.
-        if let Ok(mut sink) = SINK.lock() {
-            sink.push(ThreadLog { tid, events });
-        }
+        events: Mutex<Vec<Event>>,
     }
 
     thread_local! {
-        static LOCAL: RefCell<LocalBuf> = RefCell::new(LocalBuf {
+        static LOCAL: Arc<ThreadBuf> = register();
+    }
+
+    fn register() -> Arc<ThreadBuf> {
+        let buf = Arc::new(ThreadBuf {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            events: Vec::new(),
+            events: Mutex::new(Vec::new()),
         });
+        // A poisoned registry only loses telemetry, never affects the engine.
+        if let Ok(mut registry) = REGISTRY.lock() {
+            registry.push(Arc::clone(&buf));
+        }
+        buf
     }
 
     pub(super) fn now_us() -> u64 {
@@ -125,31 +120,49 @@ mod imp {
     pub(super) fn push(ev: Event) {
         // try_with: during thread teardown the TLS slot may already be gone;
         // dropping the event is the only sound option then.
-        let _ = LOCAL.try_with(|buf| buf.borrow_mut().events.push(ev));
+        let _ = LOCAL.try_with(|buf| {
+            if let Ok(mut events) = buf.events.lock() {
+                events.push(ev);
+            }
+        });
+    }
+
+    /// Takes every registered buffer's events (clearing them) and drops
+    /// the buffers of threads that have exited — the registry then holds
+    /// their only reference.
+    fn drain() -> Vec<ThreadLog> {
+        let Ok(mut registry) = REGISTRY.lock() else {
+            return Vec::new();
+        };
+        let mut threads = Vec::new();
+        for buf in registry.iter() {
+            let events = buf
+                .events
+                .lock()
+                .map(|mut events| std::mem::take(&mut *events))
+                .unwrap_or_default();
+            if !events.is_empty() {
+                threads.push(ThreadLog {
+                    tid: buf.tid,
+                    events,
+                });
+            }
+        }
+        registry.retain(|buf| Arc::strong_count(buf) > 1);
+        threads
     }
 
     pub(super) fn begin_run() {
         // Pin the epoch before arming so the first event never precedes it.
         let _ = EPOCH.get_or_init(Instant::now);
-        if let Ok(mut sink) = SINK.lock() {
-            sink.clear();
-        }
-        // Discard anything buffered on this thread from before the run.
-        let _ = LOCAL.try_with(|buf| buf.borrow_mut().events.clear());
+        // Discard anything buffered before the run, on every thread.
+        drain();
         RECORDING.store(true, Ordering::SeqCst);
     }
 
     pub(super) fn end_run() -> Vec<ThreadLog> {
         RECORDING.store(false, Ordering::SeqCst);
-        let _ = LOCAL.try_with(|buf| {
-            let mut buf = buf.borrow_mut();
-            let tid = buf.tid;
-            flush_into_sink(tid, &mut buf.events);
-        });
-        let mut threads = SINK
-            .lock()
-            .map(|mut s| std::mem::take(&mut *s))
-            .unwrap_or_default();
+        let mut threads = drain();
         threads.sort_by_key(|t| t.tid);
         threads
     }
@@ -193,7 +206,8 @@ pub fn recording() -> bool {
     imp::RECORDING.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Starts a recording run: clears the sink and arms event capture.
+/// Starts a recording run: clears every thread's buffer and arms event
+/// capture.
 #[cfg(feature = "enabled")]
 pub fn start() {
     imp::begin_run();
@@ -201,9 +215,9 @@ pub fn start() {
 
 /// Stops the current run and returns everything recorded since [`start`].
 ///
-/// Flushes the calling thread's buffer; other threads contribute their
-/// buffers when they exit (worker threads in the engine are scoped, so they
-/// have always exited by the time results are available to call this).
+/// Drains every thread's buffer: the calling thread's, those of threads
+/// that have exited, and those of threads still running (whatever they
+/// recorded up to the drain).
 #[cfg(feature = "enabled")]
 pub fn finish() -> RunData {
     RunData {

@@ -13,10 +13,27 @@
 /// allocation-free after construction and set algebra runs word-parallel.
 /// The capacity is fixed at construction; inserting an index `>= len`
 /// panics (that is always a logic error upstream, never data-dependent).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BitSet {
     len: usize,
     words: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            len: self.len,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Buffer-reusing `clone_from` (the derive would drop and reallocate):
+    /// a scratch row overwritten from same-capacity sets on every step of
+    /// an inner loop allocates exactly once.
+    fn clone_from(&mut self, src: &Self) {
+        self.len = src.len;
+        self.words.clone_from(&src.words);
+    }
 }
 
 #[inline]
@@ -334,6 +351,16 @@ mod tests {
         let back = s.clone();
         assert_eq!(s, back);
         assert!(back.contains(66));
+    }
+
+    #[test]
+    fn clone_from_reuses_the_word_buffer() {
+        let src: BitSet = resize([1usize, 64, 129].into_iter().collect(), 130);
+        let mut dst = BitSet::full(130);
+        let buffer = dst.words().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src.clone());
+        assert_eq!(dst.words().as_ptr(), buffer, "clone_from reallocated");
     }
 
     fn resize(s: BitSet, cap: usize) -> BitSet {

@@ -18,10 +18,27 @@ use crate::closure;
 /// deduplicate induced partial orders: two feasible program executions are
 /// the same element of F(P) exactly when their induced →T′ matrices are
 /// equal.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Relation {
     len: usize,
     rows: Vec<BitSet>,
+}
+
+impl Clone for Relation {
+    fn clone(&self) -> Self {
+        Relation {
+            len: self.len,
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Buffer-reusing `clone_from`: `Vec::clone_from` recurses into
+    /// [`BitSet::clone_from`] row by row, so overwriting a same-sized
+    /// scratch relation allocates nothing.
+    fn clone_from(&mut self, src: &Self) {
+        self.len = src.len;
+        self.rows.clone_from(&src.rows);
+    }
 }
 
 impl Relation {
@@ -457,6 +474,18 @@ mod tests {
         assert!(set.insert(a));
         assert!(!set.insert(b));
         assert!(set.insert(c));
+    }
+
+    #[test]
+    fn clone_from_reuses_every_row_buffer() {
+        let src = Relation::from_edges(70, [(0, 69), (3, 64), (69, 1)]);
+        let mut dst = Relation::from_edges(70, [(5, 6), (68, 0)]);
+        let buffers: Vec<*const u64> = (0..70).map(|a| dst.row(a).words().as_ptr()).collect();
+        dst.clone_from(&src);
+        assert_eq!(dst, src.clone());
+        for (a, &buffer) in buffers.iter().enumerate() {
+            assert_eq!(dst.row(a).words().as_ptr(), buffer, "row {a} reallocated");
+        }
     }
 
     #[test]
