@@ -315,7 +315,7 @@ mod tests {
     fn full_config_round_trips_and_echoes() {
         let cfg = EngineConfig {
             mode: FeasibilityMode::IgnoreDependences,
-            equiv: EquivStrategy::Grain,
+            equiv: EquivStrategy::NormalForm,
             backend: QueryBackend::Sat,
             static_prefilter: true,
             timeout_ms: Some(1000),
@@ -358,7 +358,7 @@ mod tests {
             "--config",
             path.to_str().unwrap(),
             "--equiv",
-            "grain",
+            "mazurkiewicz",
             "--max-states",
             "7",
             "--ignore-deps",
@@ -369,7 +369,7 @@ mod tests {
         let cfg = EngineConfig::from_cli(&args).expect("parses");
         std::fs::remove_file(&path).ok();
         // Flags win where present...
-        assert_eq!(cfg.equiv, EquivStrategy::Grain);
+        assert_eq!(cfg.equiv, EquivStrategy::Mazurkiewicz);
         assert_eq!(cfg.max_states, Some(7));
         assert_eq!(cfg.mode, FeasibilityMode::IgnoreDependences);
         // ...and the file's choice survives where they are absent.
@@ -385,6 +385,7 @@ mod tests {
     fn unknown_keys_and_bad_values_are_rejected() {
         assert!(EngineConfig::from_json_str(r#"{"equivv": "nf"}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"mode": "both"}"#).is_err());
+        assert!(EngineConfig::from_json_str(r#"{"equiv": "grain"}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"timeout_ms": -1}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"max_states": 1.5}"#).is_err());
         // 2^53 + 1 would round to 2^53 in an f64: rejected, not rounded.

@@ -2,8 +2,8 @@
 //!
 //! Every complete feasible schedule induces a partial order →T′; the set
 //! of *distinct* induced orders is the paper's F(P). The search that
-//! discovers them quotients schedules by a pluggable trace equivalence
-//! ([`crate::equiv::Equivalence`]):
+//! discovers them quotients schedules by the trace equivalence an
+//! [`EquivStrategy`] names:
 //!
 //! * [`EquivStrategy::Mazurkiewicz`] — depth-first search over schedules
 //!   pruned with **sleep sets** (Godefroid): after exploring event `e`
@@ -15,18 +15,17 @@
 //!   same-semaphore and same-event-variable operations within a class, so
 //!   the canonical induced-order extraction of [`eo_model::induce`] is
 //!   class-invariant.
-//! * [`EquivStrategy::NormalForm`] / [`EquivStrategy::Grain`] — memoized
-//!   quotient-graph DFS: a prefix is extended only if it is the first
-//!   (least, children in event-index order) path to reach its canonical
-//!   node — the future-relevant synchronization state of
-//!   [`crate::equiv::ScanState`] combined with either the raw pairing
-//!   history (normal-form) or the closed induced relation (grain). These
-//!   never use sleep sets: memoization plus history-dependent pruning is
-//!   unsound, so canonical search explores every enabled event at each
-//!   *fresh* node and prunes only exact revisits.
+//! * [`EquivStrategy::NormalForm`] — memoized quotient-graph DFS: a
+//!   prefix is extended only if it is the first (least, children in
+//!   event-index order) path to reach its canonical node — the
+//!   future-relevant synchronization state of [`crate::equiv::ScanState`]
+//!   combined with the raw pairing history. It never uses sleep sets:
+//!   memoization plus history-dependent pruning is unsound, so canonical
+//!   search explores every enabled event at each *fresh* node and prunes
+//!   only exact revisits.
 //! * [`enumerate_naive`] — the same search with no pruning: every
 //!   interleaving. Used as the ground-truth oracle in tests and as the
-//!   ablation baseline (DESIGN.md §5); all strategies must produce the
+//!   ablation baseline (DESIGN.md §5); both strategies must produce the
 //!   same set of induced orders.
 //!
 //! All variants deduplicate induced orders — by 128-bit matrix
@@ -49,10 +48,9 @@
 //!   schedule ([`closure::close_along_topological_order`]) — the schedule
 //!   is a topological order of every edge it induces, so no Kahn pass is
 //!   needed. The scratch is fingerprinted and cloned only when its order
-//!   is new; the closed-relation search records its top-of-path relation
-//!   the same way;
-//! * machine states, sleep sets and the closed-relation search's
-//!   relations live in per-depth buffers overwritten with `clone_from`.
+//!   is new;
+//! * machine states and sleep sets live in per-depth buffers overwritten
+//!   with `clone_from`.
 //!
 //! Debug builds check every recorded order against
 //! [`SearchCtx::induced_order`] (the reference extraction of
@@ -62,9 +60,7 @@
 use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
-use crate::equiv::{
-    closed_hash, closed_insert, combine_key, CanonMode, EquivStrategy, ScanState, ScanUndo,
-};
+use crate::equiv::{combine_key, EquivStrategy, ScanState, ScanUndo};
 use eo_model::{EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashSet;
 use eo_relations::{closure, BitSet, Relation};
@@ -75,9 +71,8 @@ pub struct EnumerationResult {
     /// The distinct induced partial orders — the elements of F(P).
     pub orders: Vec<Relation>,
     /// Complete schedules visited (≥ `orders.len()`; equality means the
-    /// pruning was perfect for this input). Under the canonical
-    /// strategies this counts distinct complete canonical nodes — each is
-    /// reached exactly once.
+    /// pruning was perfect for this input). Under normal-form this counts
+    /// distinct complete canonical nodes — each is reached exactly once.
     pub schedules_explored: usize,
     /// True iff the search stopped at the schedule budget; the relation
     /// summary refuses to quantify over a truncated set.
@@ -87,7 +82,7 @@ pub struct EnumerationResult {
     /// no pruning; it is only reachable via [`enumerate_naive`]).
     pub strategy: EquivStrategy,
     /// Branches the strategy pruned: sleep-set skips (Mazurkiewicz) or
-    /// canonical-prefix memo hits (normal-form/grain). The
+    /// canonical-prefix memo hits (normal-form). The
     /// `enumerate.sleep_prunes` metric.
     pub pruned_branches: usize,
 }
@@ -128,8 +123,9 @@ struct Enumerator<'c, 'a> {
     ctx: &'c SearchCtx<'a>,
     max_schedules: usize,
     use_sleep: bool,
-    /// Canonical-search mode (`None` = plain schedule DFS).
-    canon: Option<CanonMode>,
+    /// Memoized canonical search (normal-form) instead of the plain
+    /// schedule DFS.
+    canonical: bool,
     schedule: Vec<EventId>,
     seen: SeenOrders,
     orders: Vec<Relation>,
@@ -167,15 +163,12 @@ struct Enumerator<'c, 'a> {
     base: Relation,
     /// Scratch relation each complete schedule's order is closed into.
     leaf: Relation,
-    /// Scratch row for the leaf closure and for `closed_insert`.
+    /// Scratch row for the leaf closure.
     row_scratch: BitSet,
-    // --- canonical-search state (engaged iff `canon.is_some()`) ---
     /// Canonical nodes already fully explored (or currently on the DFS
-    /// path, which cannot recur — progress strictly increases).
+    /// path, which cannot recur — progress strictly increases). Used iff
+    /// `canonical`.
     visited: FxHashSet<u128>,
-    /// For [`CanonMode::ClosedRelation`]: the closed induced relation at
-    /// each depth of the current path (`closed[d]` after `schedule[..d]`).
-    closed: Vec<Relation>,
 }
 
 impl Enumerator<'_, '_> {
@@ -188,44 +181,32 @@ impl Enumerator<'_, '_> {
             return;
         }
         self.schedules_explored += 1;
-        let order = match self.canon {
-            // The closed-relation search already maintains exactly
-            // cl(base ∪ pairing edges) — the induced order.
-            Some(CanonMode::ClosedRelation) => &self.closed[self.schedule.len()],
-            // The schedule is a topological order of every edge it
-            // induces, so one reverse sweep over it closes base ∪ pairing
-            // edges — no Kahn pass, no allocation.
-            _ => {
-                self.leaf.clone_from(&self.base);
-                for &(a, b) in &self.edge_stack {
-                    self.leaf.insert(a.index(), b.index());
-                }
-                closure::close_along_topological_order(
-                    &mut self.leaf,
-                    self.schedule.iter().map(|e| e.index()),
-                    &mut self.row_scratch,
-                );
-                &self.leaf
-            }
-        };
+        // The schedule is a topological order of every edge it induces, so
+        // one reverse sweep over it closes base ∪ pairing edges — no Kahn
+        // pass, no allocation.
+        self.leaf.clone_from(&self.base);
+        for &(a, b) in &self.edge_stack {
+            self.leaf.insert(a.index(), b.index());
+        }
+        closure::close_along_topological_order(
+            &mut self.leaf,
+            self.schedule.iter().map(|e| e.index()),
+            &mut self.row_scratch,
+        );
         debug_assert_eq!(
-            *order,
+            self.leaf,
             self.ctx.induced_order(&self.schedule),
             "incrementally induced order diverged from the induce scan"
         );
         // Fingerprint the scratch; clone it only when the order is new.
-        if self.seen.insert(order) {
-            self.orders.push(order.clone());
+        if self.seen.insert(&self.leaf) {
+            self.orders.push(self.leaf.clone());
         }
     }
 
     fn heap_estimate(&self) -> usize {
         let memo = self.visited.len() * 2 * std::mem::size_of::<u128>();
-        // The closed relations live on the current path only.
-        let closure = self.closed.first().map_or(0, |r| {
-            (self.schedule.len() + 1) * (r.len() * r.len() / 8 + 64)
-        });
-        self.orders.len() * self.order_bytes + memo + closure
+        self.orders.len() * self.order_bytes + memo
     }
 
     /// The schedule DFS behind every strategy, at `depth` =
@@ -234,7 +215,7 @@ impl Enumerator<'_, '_> {
     /// * Sleep-set search (Mazurkiewicz): after exploring `e`, `e` sleeps
     ///   for the later siblings, and stays asleep below them until a
     ///   statically dependent event executes.
-    /// * Canonical search (normal-form/grain): no sleep sets (unsound
+    /// * Canonical search (normal-form): no sleep sets (unsound
     ///   under memoization); instead, a node reached a second time — same
     ///   future-relevant machine/scan state and same ordering content — is
     ///   pruned wholesale. Children are tried in event-index order, so
@@ -249,12 +230,11 @@ impl Enumerator<'_, '_> {
             self.stopped = Some(e);
             return;
         }
-        if let Some(mode) = self.canon {
-            let ordering_hash = match mode {
-                CanonMode::PairingHistory => self.scan.edge_hash(),
-                CanonMode::ClosedRelation => closed_hash(&self.closed[depth]),
-            };
-            let key = combine_key(self.scan.state_key(&self.states[depth]), ordering_hash);
+        if self.canonical {
+            let key = combine_key(
+                self.scan.state_key(&self.states[depth]),
+                self.scan.edge_hash(),
+            );
             if !self.visited.insert(key) {
                 self.pruned_branches += 1;
                 return;
@@ -297,9 +277,8 @@ impl Enumerator<'_, '_> {
     }
 
     /// Extends the path at `depth` by `p`'s next event `e`: the machine
-    /// state, the pairing edges (and, for the closed-relation search, the
-    /// closed relation) of depth `depth + 1`, and the schedule. Returns
-    /// what [`Enumerator::pop_step`] needs to undo it.
+    /// state and pairing edges of depth `depth + 1`, and the schedule.
+    /// Returns what [`Enumerator::pop_step`] needs to undo it.
     fn push_step(&mut self, depth: usize, p: ProcessId, e: EventId) -> (usize, ScanUndo) {
         let (here, below) = self.states.split_at_mut(depth + 1);
         below[0].clone_from(&here[depth]);
@@ -308,14 +287,6 @@ impl Enumerator<'_, '_> {
         let undo = self
             .scan
             .apply(self.ctx.exec().trace(), e, &mut self.edge_stack);
-        if self.canon == Some(CanonMode::ClosedRelation) {
-            let (here, below) = self.closed.split_at_mut(depth + 1);
-            let next = &mut below[0];
-            next.clone_from(&here[depth]);
-            for &(a, b) in &self.edge_stack[mark..] {
-                closed_insert(next, a.index(), b.index(), &mut self.row_scratch);
-            }
-        }
         self.schedule.push(e);
         (mark, undo)
     }
@@ -343,28 +314,16 @@ fn run(
 ) -> (EnumerationResult, Option<EngineError>) {
     let n = ctx.n_events();
     eo_obs::span!("engine.enumerate");
-    let equiv = config.strategy.equivalence();
-    let canon = if config.prune {
-        equiv.canonical()
-    } else {
-        None
-    };
-    let use_sleep = config.prune && equiv.sleep_sets();
+    // Sleep sets and canonical memoization never combine (unsound, see
+    // `crate::equiv`); the naive oracle uses neither.
+    let canonical = config.prune && config.strategy == EquivStrategy::NormalForm;
+    let use_sleep = config.prune && config.strategy == EquivStrategy::Mazurkiewicz;
     let trace = ctx.exec().trace();
-    let base = eo_model::induce::base_edges(trace, &ctx.effective_d());
-    let closed = match canon {
-        Some(CanonMode::ClosedRelation) => {
-            let closed =
-                closure::dfs_closure(&base).expect("base edges of a valid execution form a DAG");
-            vec![closed; n + 1]
-        }
-        _ => Vec::new(),
-    };
     let mut en = Enumerator {
         ctx,
         max_schedules: budget.max_schedules().unwrap_or(usize::MAX),
         use_sleep,
-        canon,
+        canonical,
         schedule: Vec::with_capacity(n),
         seen: SeenOrders::new(),
         orders: Vec::new(),
@@ -386,10 +345,9 @@ fn run(
         scan: ScanState::new(trace),
         edge_stack: Vec::new(),
         leaf: Relation::new(n),
-        base,
+        base: eo_model::induce::base_edges(trace, &ctx.effective_d()),
         row_scratch: BitSet::new(n),
         visited: FxHashSet::default(),
-        closed,
     };
     en.explore(0);
     // Once per enumeration, never per DFS step: the ≤2% overhead budget
@@ -503,18 +461,16 @@ mod tests {
             "sleep-set pruning must not change F(P)"
         );
         assert!(r.schedules_explored <= naive.schedules_explored);
-        // And every coarser strategy agrees too, visiting no more
-        // schedules than it has orders... at most the baseline explored.
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let coarse = enumerate_classes_with(&ctx, 1 << 20, strategy);
-            assert!(!coarse.truncated);
-            assert_eq!(
-                sorted_orders(&coarse),
-                sorted_orders(&naive),
-                "{strategy} changed F(P)"
-            );
-            assert!(coarse.schedules_explored <= naive.schedules_explored);
-        }
+        // And the canonical strategy agrees too, visiting no more
+        // schedules than the unpruned oracle.
+        let coarse = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+        assert!(!coarse.truncated);
+        assert_eq!(
+            sorted_orders(&coarse),
+            sorted_orders(&naive),
+            "normal-form changed F(P)"
+        );
+        assert!(coarse.schedules_explored <= naive.schedules_explored);
         r
     }
 
@@ -623,8 +579,8 @@ mod tests {
         assert!(pruned.pruned_branches > 0, "the skips are counted");
     }
 
-    /// The headline property of the canonical strategies: on the fixture
-    /// gallery they visit exactly one complete schedule per element of
+    /// The headline property of the canonical strategy: on the fixture
+    /// gallery it visits exactly one complete schedule per element of
     /// F(P) — `schedules_explored == orders.len()` — where sleep sets
     /// leave redundancy (post_wait_clear_chain: 18 Mazurkiewicz classes,
     /// 10 orders).
@@ -642,33 +598,25 @@ mod tests {
         for trace in &gallery {
             let exec = trace.to_execution().unwrap();
             let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-            for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-                let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-                assert!(!r.truncated);
-                assert_eq!(
-                    r.schedules_explored,
-                    r.orders.len(),
-                    "{strategy}: imperfect pruning"
-                );
-            }
+            let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+            assert!(!r.truncated);
+            assert_eq!(r.schedules_explored, r.orders.len(), "imperfect pruning");
         }
     }
 
     #[test]
     fn canonical_strategies_beat_sleep_sets_on_pairing_redundancy() {
         // 18 sleep-set schedules vs 10 orders on post_wait_clear_chain;
-        // both canonical strategies must close the gap entirely.
+        // the canonical search must close the gap entirely.
         let (trace, _ids) = fixtures::post_wait_clear_chain();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
         let maz = enumerate_classes(&ctx, 1 << 20);
         assert_eq!(maz.schedules_explored, 18);
         assert_eq!(maz.orders.len(), 10);
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-            assert_eq!(r.schedules_explored, 10, "{strategy}");
-            assert_eq!(sorted_orders(&r), sorted_orders(&maz), "{strategy}");
-        }
+        let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+        assert_eq!(r.schedules_explored, 10);
+        assert_eq!(sorted_orders(&r), sorted_orders(&maz));
     }
 
     /// IgnoreDependences flips enabledness and the induced →D content;
@@ -683,11 +631,9 @@ mod tests {
             let exec = trace.to_execution().unwrap();
             let ctx = SearchCtx::new(&exec, FeasibilityMode::IgnoreDependences);
             let base = enumerate_classes(&ctx, 1 << 20);
-            for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-                let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-                assert_eq!(sorted_orders(&r), sorted_orders(&base), "{strategy}");
-                assert!(r.schedules_explored <= base.schedules_explored);
-            }
+            let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+            assert_eq!(sorted_orders(&r), sorted_orders(&base));
+            assert!(r.schedules_explored <= base.schedules_explored);
         }
     }
 
@@ -698,13 +644,11 @@ mod tests {
         let (trace, _ids) = fixtures::post_wait_clear_chain();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let r = enumerate_classes_with(&ctx, 3, strategy);
-            assert!(r.truncated, "{strategy}: 10 complete nodes > cap 3");
-            assert_eq!(r.schedules_explored, 3);
-            // Complete-at-cap is not truncation.
-            let exact = enumerate_classes_with(&ctx, 10, strategy);
-            assert!(!exact.truncated, "{strategy}");
-        }
+        let r = enumerate_classes_with(&ctx, 3, EquivStrategy::NormalForm);
+        assert!(r.truncated, "10 complete nodes > cap 3");
+        assert_eq!(r.schedules_explored, 3);
+        // Complete-at-cap is not truncation.
+        let exact = enumerate_classes_with(&ctx, 10, EquivStrategy::NormalForm);
+        assert!(!exact.truncated);
     }
 }

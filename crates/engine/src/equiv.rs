@@ -1,10 +1,9 @@
-//! Pluggable trace-equivalence strategies for the F(P) enumeration core.
+//! Trace-equivalence strategies for the F(P) enumeration core.
 //!
 //! The paper's hardness results live in enumerating the feasible-execution
 //! set F(P); how fast that is in practice is entirely a question of *which
-//! schedules the search can afford not to visit*. This module makes the
-//! equivalence the enumerator quotients by a pluggable [`Equivalence`]
-//! strategy, with three implementations:
+//! schedules the search can afford not to visit*. [`EquivStrategy`]
+//! chooses the equivalence the enumerator quotients schedules by:
 //!
 //! * [`EquivStrategy::Mazurkiewicz`] — the baseline: depth-first search
 //!   with Godefroid sleep sets over the static independence relation.
@@ -25,80 +24,52 @@
 //!   exactly once, so `schedules_explored` equals the number of distinct
 //!   pairing histories — on the fixture gallery exactly `orders.len()`.
 //!
-//! * [`EquivStrategy::Grain`] — the Farzan–Mathur-style coarsening: the
-//!   same canonical search, but the pairing-history component of the key
-//!   is replaced by the **transitively closed relation** the prefix has
-//!   induced so far (base edges ∪ pairing edges, closed). This merges
-//!   Mazurkiewicz classes — and normal-form nodes — that induce the same
-//!   closed relation answers even when their raw pairing edges differ, so
-//!   a complete schedule is explored per *element of F(P)*: perfect
-//!   pruning by construction.
-//!
 //! # Soundness
 //!
-//! The two canonical strategies never combine memoization with
-//! history-dependent pruning (sleep sets or a static normal-form test on
-//! the word) — that combination is the classic stateful-POR unsoundness:
-//! a memo hit would trust a subtree that was only partially explored
-//! *relative to the new incoming history*. Instead they explore **all**
-//! enabled events at every fresh node and prune only exact revisits of a
-//! canonical node. Soundness then reduces to the key being *future-deciding*:
-//! two prefixes with equal keys must have (a) the same set of feasible
+//! The canonical search never combines memoization with history-dependent
+//! pruning (sleep sets or a static normal-form test on the word) — that
+//! combination is the classic stateful-POR unsoundness: a memo hit would
+//! trust a subtree that was only partially explored *relative to the new
+//! incoming history*. Instead it explores **all** enabled events at every
+//! fresh node and prunes only exact revisits of a canonical node.
+//! Soundness then reduces to the key being *future-deciding*: two
+//! prefixes with equal keys must have (a) the same set of feasible
 //! completions and (b) completions inducing the same orders. See
-//! [`ScanState::state_key`] for the component-by-component argument,
-//! and DESIGN.md §12 for the full version. The differential suite pins the
-//! conclusion: all three strategies (and the unpruned oracle) must produce
+//! [`ScanState::state_key`] for the component-by-component argument, and
+//! DESIGN.md §12 for the full version. The differential suite pins the
+//! conclusion: both strategies (and the unpruned oracle) must produce
 //! bit-identical order sets on every fixture, both E9 families, and seeded
 //! generated programs, in both feasibility modes.
 
-use crate::ctx::SearchCtx;
 use eo_model::{EventId, MachState, Op, Trace};
-use eo_relations::Relation;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
 /// Which trace equivalence the enumerator quotients schedules by. The
 /// engine-facing knob ([`crate::EngineOptions::equiv`], `--equiv` on the
-/// CLI); each variant maps to one [`Equivalence`] implementation.
+/// CLI).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EquivStrategy {
     /// Sleep-set DFS over static independence (one schedule per
-    /// Mazurkiewicz class). The baseline every coarser strategy is
+    /// Mazurkiewicz class). The baseline the canonical strategy is
     /// differentially checked against.
     #[default]
     Mazurkiewicz,
     /// Canonical-representative generation over pairing histories: only
     /// the least representative of each canonical prefix is extended.
     NormalForm,
-    /// Closed-relation (reads-from grain) coarsening: canonical search
-    /// keyed on the closed induced relation itself.
-    Grain,
 }
 
 impl EquivStrategy {
     /// All strategies, baseline first — the order ablations report in.
-    pub const ALL: [EquivStrategy; 3] = [
-        EquivStrategy::Mazurkiewicz,
-        EquivStrategy::NormalForm,
-        EquivStrategy::Grain,
-    ];
+    pub const ALL: [EquivStrategy; 2] = [EquivStrategy::Mazurkiewicz, EquivStrategy::NormalForm];
 
     /// Stable machine-readable name (CLI value, metrics label, JSON key).
     pub fn label(self) -> &'static str {
         match self {
             EquivStrategy::Mazurkiewicz => "mazurkiewicz",
             EquivStrategy::NormalForm => "normal-form",
-            EquivStrategy::Grain => "grain",
-        }
-    }
-
-    /// The strategy object driving the search.
-    pub fn equivalence(self) -> &'static dyn Equivalence {
-        match self {
-            EquivStrategy::Mazurkiewicz => &MazurkiewiczEquiv,
-            EquivStrategy::NormalForm => &NormalFormEquiv,
-            EquivStrategy::Grain => &GrainEquiv,
         }
     }
 }
@@ -116,89 +87,11 @@ impl FromStr for EquivStrategy {
         match s {
             "mazurkiewicz" | "maz" => Ok(EquivStrategy::Mazurkiewicz),
             "normal-form" | "nf" => Ok(EquivStrategy::NormalForm),
-            "grain" => Ok(EquivStrategy::Grain),
             other => Err(format!(
                 "unknown equivalence strategy `{other}` \
-                 (expected mazurkiewicz|normal-form|grain)"
+                 (expected mazurkiewicz|normal-form)"
             )),
         }
-    }
-}
-
-/// How a canonical strategy summarizes the ordering content of a prefix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CanonMode {
-    /// Key on the raw set of pairing edges emitted so far.
-    PairingHistory,
-    /// Key on the transitively closed induced relation so far (base ∪
-    /// pairing edges, closed). Coarser: prefixes whose distinct raw edges
-    /// close to the same relation merge.
-    ClosedRelation,
-}
-
-/// One trace-equivalence strategy: the independence predicate the search
-/// may commute by, and the canonical-form check (if any) that decides
-/// whether a prefix is the representative worth extending.
-pub trait Equivalence: Sync {
-    /// Stable name (matches [`EquivStrategy::label`]).
-    fn name(&self) -> &'static str;
-
-    /// May the search treat `a` and `b` as commuting? Sound default: the
-    /// negation of [`SearchCtx::statically_dependent`].
-    fn independent(&self, ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
-        !ctx.statically_dependent(a, b)
-    }
-
-    /// Whether the DFS prunes commutations with sleep sets. Mutually
-    /// exclusive with [`Equivalence::canonical`] — combining
-    /// history-dependent pruning with prefix memoization is unsound (see
-    /// the module docs).
-    fn sleep_sets(&self) -> bool {
-        self.canonical().is_none()
-    }
-
-    /// The canonical-form check: `Some(mode)` switches the enumerator to
-    /// the memoized quotient-graph search with prefixes canonicalized per
-    /// `mode`; `None` keeps the plain schedule DFS.
-    fn canonical(&self) -> Option<CanonMode>;
-}
-
-/// Baseline sleep-set Mazurkiewicz search.
-pub struct MazurkiewiczEquiv;
-
-impl Equivalence for MazurkiewiczEquiv {
-    fn name(&self) -> &'static str {
-        EquivStrategy::Mazurkiewicz.label()
-    }
-
-    fn canonical(&self) -> Option<CanonMode> {
-        None
-    }
-}
-
-/// Canonical representative generation over pairing histories.
-pub struct NormalFormEquiv;
-
-impl Equivalence for NormalFormEquiv {
-    fn name(&self) -> &'static str {
-        EquivStrategy::NormalForm.label()
-    }
-
-    fn canonical(&self) -> Option<CanonMode> {
-        Some(CanonMode::PairingHistory)
-    }
-}
-
-/// Closed-relation grain coarsening.
-pub struct GrainEquiv;
-
-impl Equivalence for GrainEquiv {
-    fn name(&self) -> &'static str {
-        EquivStrategy::Grain.label()
-    }
-
-    fn canonical(&self) -> Option<CanonMode> {
-        Some(CanonMode::ClosedRelation)
     }
 }
 
@@ -239,7 +132,7 @@ enum UndoKind {
 /// The incremental mirror of [`eo_model::induce::induced_edges`]'s scan:
 /// per-semaphore FIFO token queues and per-event-variable causality state,
 /// maintained with O(1)-amortized apply/undo along the enumeration DFS,
-/// plus bookkeeping that lets the canonical strategies hash only the
+/// plus bookkeeping that lets the canonical search hash only the
 /// *future-relevant* projection of that state:
 ///
 /// * token queues are hashed truncated to their first `remaining_P(s)`
@@ -443,17 +336,16 @@ impl ScanState {
         }
     }
 
-    /// XOR hash of the pairing edges emitted so far (the
-    /// [`CanonMode::PairingHistory`] ordering component).
+    /// XOR hash of the pairing edges emitted so far (the normal-form
+    /// ordering component).
     #[inline]
     pub fn edge_hash(&self) -> u64 {
         self.edge_hash
     }
 
     /// The future-relevant canonical key of `(st, self)`, **excluding**
-    /// the ordering component (callers fold in either
-    /// [`ScanState::edge_hash`] or a closed-relation hash via
-    /// [`combine_key`]).
+    /// the ordering component (callers fold in [`ScanState::edge_hash`]
+    /// via [`combine_key`]).
     ///
     /// Soundness of every truncation, component by component:
     ///
@@ -531,32 +423,6 @@ pub fn combine_key(state_key: u128, ordering_hash: u64) -> u128 {
     state_key ^ (((hi as u128) << 64) | lo as u128)
 }
 
-/// Hash of a closed relation's bit matrix (the
-/// [`CanonMode::ClosedRelation`] ordering component). Folds the 128-bit
-/// matrix fingerprint to one word; [`combine_key`] re-expands it.
-#[inline]
-pub fn closed_hash(rel: &Relation) -> u64 {
-    let fp = rel.fingerprint128();
-    (fp as u64) ^ ((fp >> 64) as u64)
-}
-
-/// Inserts `a → b` into the transitively closed `rel`, restoring closure:
-/// every predecessor of `a` (and `a`) gains every successor of `b` (and
-/// `b`). `scratch` is a caller-reused successor-row buffer. O(n²/64).
-pub fn closed_insert(rel: &mut Relation, a: usize, b: usize, scratch: &mut eo_relations::BitSet) {
-    if a == b || rel.contains(a, b) {
-        return;
-    }
-    scratch.clone_from(rel.row(b));
-    scratch.insert(b);
-    rel.row_mut(a).union_with(scratch);
-    for x in 0..rel.len() {
-        if rel.contains(x, a) {
-            rel.row_mut(x).union_with(scratch);
-        }
-    }
-}
-
 /// Zobrist-style slot packing: `(tag, slot, value)` into one mixer input.
 /// Tags keep component families from aliasing; slots stay well under 2⁴⁰.
 #[inline]
@@ -583,7 +449,7 @@ fn mix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::FeasibilityMode;
+    use crate::ctx::{FeasibilityMode, SearchCtx};
     use eo_model::fixtures;
     use eo_model::induce;
 
@@ -627,26 +493,12 @@ mod tests {
     }
 
     #[test]
-    fn closed_insert_matches_full_closure() {
-        let mut rel = Relation::new(5);
-        let mut scratch = eo_relations::BitSet::new(5);
-        let edges = [(0usize, 1usize), (1, 2), (3, 1), (2, 4)];
-        let mut raw = Relation::new(5);
-        for &(a, b) in &edges {
-            closed_insert(&mut rel, a, b, &mut scratch);
-            raw.insert(a, b);
-            let full = raw.transitive_closure();
-            assert_eq!(rel, full, "incremental closure diverged at ({a},{b})");
-        }
-    }
-
-    #[test]
     fn strategy_labels_round_trip() {
         for s in EquivStrategy::ALL {
             assert_eq!(s.label().parse::<EquivStrategy>().unwrap(), s);
-            assert_eq!(s.equivalence().name(), s.label());
         }
         assert!("bogus".parse::<EquivStrategy>().is_err());
+        assert!("grain".parse::<EquivStrategy>().is_err());
         assert_eq!(
             "maz".parse::<EquivStrategy>().unwrap(),
             EquivStrategy::Mazurkiewicz
@@ -655,17 +507,5 @@ mod tests {
             "nf".parse::<EquivStrategy>().unwrap(),
             EquivStrategy::NormalForm
         );
-    }
-
-    #[test]
-    fn sleep_sets_and_canonical_are_exclusive() {
-        for s in EquivStrategy::ALL {
-            let e = s.equivalence();
-            assert!(
-                e.sleep_sets() != e.canonical().is_some(),
-                "{}: sleep sets and canonical memoization must never combine",
-                e.name()
-            );
-        }
     }
 }

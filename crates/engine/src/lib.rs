@@ -26,10 +26,10 @@
 //!   The cut lattice is exponentially smaller than the schedule space but
 //!   still exponential in the number of processes — as it must be.
 //! * [`enumerate`] — enumeration of the distinct induced orders of F(P),
-//!   quotienting schedules by a pluggable trace equivalence ([`equiv`]):
-//!   sleep-set pruned Mazurkiewicz classes (the default), or the coarser
-//!   canonical-representative searches (normal-form pairing histories,
-//!   closed-relation grains) that visit one schedule per element of F(P).
+//!   quotienting schedules by a trace equivalence ([`equiv`]): sleep-set
+//!   pruned Mazurkiewicz classes (the default), or the coarser
+//!   canonical-representative search over normal-form pairing histories,
+//!   which visits one schedule per element of F(P) on the fixture gallery.
 //!   The class-quantified relations (MCW, MOW, COW, and the induced
 //!   variant of CCW) are computed from this set.
 //!
@@ -80,7 +80,7 @@ pub use engine::{AnalysisOutcome, EngineError, ExactEngine};
 pub use enumerate::{
     enumerate_classes, enumerate_classes_with, enumerate_naive, EnumerationResult,
 };
-pub use equiv::{EquivStrategy, Equivalence};
+pub use equiv::EquivStrategy;
 #[cfg(feature = "fault-injection")]
 pub use faultpoint::{Fault, FaultPlan};
 pub use parallel::explore_statespace_parallel_budgeted;

@@ -355,7 +355,7 @@ mod tests {
         let space = explore_statespace_budgeted(&ctx, &Budget::unlimited()).unwrap();
         for strategy in EquivStrategy::ALL {
             // The chain has 10 induced orders, so a cap of 1 truncates
-            // even the perfectly pruned canonical searches.
+            // even the perfectly pruned canonical search.
             let classes = enumerate_classes_with(&ctx, 1, strategy);
             assert!(classes.truncated, "{strategy}: cap 1 must truncate");
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

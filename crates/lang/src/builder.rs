@@ -1,21 +1,14 @@
-//! Imperative construction of [`Program`]s (compatibility surface).
+//! Construction of [`Program`]s.
 //!
-//! [`ProgramBuilder`] appends statements to named process definitions;
+//! [`ProgramBuilder`] declares sync objects up front — each handed back as
+//! a typed handle ([`SemId`], [`BarrierId`], [`MutexId`], [`CondId`],
+//! [`ChanId`], …) — and appends statements to named process definitions;
 //! nested blocks (conditional branches) are built through [`BlockBuilder`]
 //! closures. `build()` panics on a statically malformed program — builder
 //! misuse is a bug in the *calling* code (the reductions construct
 //! thousands of programs this way and rely on validity), while
 //! [`ProgramBuilder::try_build`] returns the error for callers assembling
 //! programs from untrusted descriptions.
-//!
-//! **Deprecated in favor of [`crate::fluent`]**: new code should use the
-//! typed, scoped builder ([`ProgramScope`](crate::fluent::ProgramScope)),
-//! which keeps each
-//! thread's statements inside a scope closure and hands out typed handles
-//! for every sync object. This module is kept as a thin shim — every
-//! method forwards into the same [`Program`] representation — so the
-//! large existing fixture and reduction surface compiles unchanged. See
-//! README "Builder migration" for a side-by-side.
 
 use crate::ast::{
     BarrierDef, BarrierId, ChanId, ChannelDef, CondId, CondvarDef, EvVarDef, MutexDef, MutexId,
@@ -481,6 +474,8 @@ impl BlockBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::run_to_trace;
+    use crate::scheduler::Scheduler;
 
     #[test]
     fn builder_assembles_declarations() {
@@ -541,6 +536,49 @@ mod tests {
         b.process("main");
         b.subprocess("orphan");
         assert!(b.try_build().is_err());
+    }
+
+    #[test]
+    fn worker_fork_join_runs() {
+        let mut b = ProgramBuilder::new();
+        let w1 = b.subprocess("w1");
+        b.compute(w1, "work1");
+        let w2 = b.subprocess("w2");
+        b.compute(w2, "work2");
+        let main = b.process("main");
+        b.fork(main, &[w1, w2])
+            .join(main, &[w1, w2])
+            .compute(main, "done");
+        let prog = b.build();
+        let t = run_to_trace(&prog, &mut Scheduler::round_robin()).unwrap();
+        assert_eq!(t.n_events(), 5);
+    }
+
+    #[test]
+    fn typed_handles_cover_all_sync_objects() {
+        let mut b = ProgramBuilder::new();
+        let bar = b.barrier("bar", 2);
+        let m = b.mutex("m");
+        let c = b.condvar("c");
+        let ch = b.channel("ch", 1);
+        let a = b.process("a");
+        b.lock(a, m)
+            .cond_signal(a, c)
+            .unlock(a, m)
+            .send(a, ch)
+            .barrier_wait(a, bar);
+        let p = b.process("b");
+        b.lock(p, m)
+            .cond_wait(p, c, m)
+            .unlock(p, m)
+            .recv(p, ch)
+            .barrier_wait(p, bar);
+        let prog = b.build();
+        assert!(prog.uses_surface_sync());
+        assert_eq!(prog.barriers.len(), 1);
+        assert_eq!(prog.mutexes.len(), 1);
+        assert_eq!(prog.condvars.len(), 1);
+        assert_eq!(prog.channels.len(), 1);
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn main() -> ExitCode {
                  eo serve <trace.json> [--batch <requests.json>] [--threads <n>]\n      \
                  [--config <file.json>] [--timeout <ms>] [--max-mem <bytes>] [--max-states <n>]\n      \
                  [--max-schedules <n>] [--no-cache] [--no-prefilter] [--static-prefilter]\n      \
-                 [--ignore-deps] [--backend exact|sat] [--equiv mazurkiewicz|normal-form|grain]\n      \
+                 [--ignore-deps] [--backend exact|sat] [--equiv mazurkiewicz|normal-form]\n      \
                  [--metrics-out <file>]\n  \
                  eo races <trace.json>\n  eo sat <n_vars> <n_clauses> <seed> [--events]\n  \
                  eo lint <trace.json>... [--json] [--mhp] [--deny error|warning|info] \

@@ -231,6 +231,13 @@ fn usage_errors_exit_one() {
         "--metrics-out without a path is a usage error"
     );
     assert_eq!(eo(&["frobnicate"]).status.code(), Some(1));
+    let out = eo(&["analyze", FIGURE1, "--equiv", "grain"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("mazurkiewicz|normal-form"),
+        "the error names the accepted strategies: {stderr}"
+    );
 }
 
 #[test]
